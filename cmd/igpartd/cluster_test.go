@@ -79,7 +79,6 @@ func (b *clusterBackend) submitted() int64 {
 func testCoordinator(t *testing.T, journalPath string, probe time.Duration, backends ...*clusterBackend) (*httptest.Server, *cluster.Coordinator) {
 	t.Helper()
 	cfg := cluster.Config{
-		PollInterval:   5 * time.Millisecond,
 		ProbeInterval:  probe,
 		RetryBaseDelay: 2 * time.Millisecond,
 		RetryMaxDelay:  10 * time.Millisecond,
@@ -102,7 +101,7 @@ func testCoordinator(t *testing.T, journalPath string, probe time.Duration, back
 		t.Fatal(err)
 	}
 	coord.Recover(replay)
-	ts := httptest.NewServer(newCoordServer(coord, "", 0))
+	ts := httptest.NewServer(newCoordServer(coord, "", 0, newLongPoll(0)))
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -469,5 +468,51 @@ func pollClusterJob(t *testing.T, ts *httptest.Server, id string, within time.Du
 			t.Fatalf("job %s still %q after %v", id, j.State, within)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// The coordinator façade long-polls too: a GET with ?wait= answers once
+// the cluster job is terminal, the forward itself costs one backend
+// poll (visible as cluster.backend_polls on /metrics), and a malformed
+// wait is a 400.
+func TestClusterLongPoll(t *testing.T) {
+	b0 := newClusterBackend(t, "b0")
+	b1 := newClusterBackend(t, "b1")
+	cts, _ := testCoordinator(t, "", -1, b0, b1)
+	body, _ := bookshelfPayload(t, "bm1", 0.2, nil)
+	resp, err := http.Post(cts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /v1/jobs: %v", err)
+	}
+	var j coordJobJSON
+	err = json.NewDecoder(resp.Body).Decode(&j)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d, err %v", resp.StatusCode, err)
+	}
+
+	if state := decodeState(t, <-longGet(cts.URL, j.ID, "30s")); state != string(service.StateDone) {
+		t.Fatalf("long-poll state = %q, want done", state)
+	}
+	resp = <-longGet(cts.URL, j.ID, "abc")
+	if resp == nil {
+		t.Fatal("GET ?wait=abc failed")
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("wait=abc: status %d, want 400", resp.StatusCode)
+	}
+
+	resp, err = http.Get(cts.URL + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	var m clusterMetricsJSON
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatalf("decode metrics: %v", err)
+	}
+	if got := m.Coordinator.Counters["cluster.backend_polls"]; got != 1 {
+		t.Errorf("cluster.backend_polls = %d for one forwarded job, want 1", got)
 	}
 }

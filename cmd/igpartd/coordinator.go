@@ -8,7 +8,8 @@
 //	                     consistent hashing on the netlist's content
 //	                     address (202 + cluster job id)
 //	GET    /v1/jobs/{id} poll a cluster job; terminal jobs relay the
-//	                     backend's result verbatim
+//	                     backend's result verbatim. ?wait=<duration>
+//	                     long-polls, as in single-node mode
 //	PATCH  /v1/jobs/{id} submit an ECO delta against a finished cluster
 //	                     job; forwarded to the backend that solved the
 //	                     base (pinned — its cache holds the warm state)
@@ -57,14 +58,16 @@ type coordServer struct {
 	coord   *cluster.Coordinator
 	dataDir string
 	maxBody int64
+	poll    *longPoll
 	mux     *http.ServeMux
 }
 
-func newCoordServer(coord *cluster.Coordinator, dataDir string, maxBody int64) *coordServer {
+// newCoordServer builds the façade; poll serves ?wait= on job GETs.
+func newCoordServer(coord *cluster.Coordinator, dataDir string, maxBody int64, poll *longPoll) *coordServer {
 	if maxBody <= 0 {
 		maxBody = 32 << 20
 	}
-	s := &coordServer{coord: coord, dataDir: dataDir, maxBody: maxBody, mux: http.NewServeMux()}
+	s := &coordServer{coord: coord, dataDir: dataDir, maxBody: maxBody, poll: poll, mux: http.NewServeMux()}
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
 	s.mux.HandleFunc("PATCH /v1/jobs/{id}", s.handlePatch)
@@ -230,6 +233,9 @@ func (s *coordServer) handleGet(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.coord.Get(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, "unknown job")
+		return
+	}
+	if !s.poll.wait(w, r, job.Done()) {
 		return
 	}
 	writeJSON(w, http.StatusOK, coordSnapshotJSON(job.Snapshot()))
@@ -562,6 +568,7 @@ func runCoordinator(o coordOptions) error {
 	defer cancel()
 
 	owner := cluster.LeaseOwnerID()
+	poll := newLongPoll(o.writeTO)
 	sw := &switchHandler{}
 	var active atomic.Pointer[cluster.Coordinator]
 
@@ -617,7 +624,7 @@ func runCoordinator(o coordOptions) error {
 			log.Printf("igpartd: leadership held (term %d, owner %s)", lease.Term, lease.Owner)
 		}
 		active.Store(coord)
-		sw.Set(newCoordServer(coord, o.dataDir, o.maxBody))
+		sw.Set(newCoordServer(coord, o.dataDir, o.maxBody, poll))
 		return nil
 	}
 
@@ -671,5 +678,5 @@ func runCoordinator(o coordOptions) error {
 		}
 		return nil
 	}
-	return serveHTTP(o.addr, o.readTO, o.writeTO, sw, drain, o.grace)
+	return serveHTTP(o.addr, newHTTPServer(sw, o.readTO, o.writeTO, poll), drain, o.grace)
 }

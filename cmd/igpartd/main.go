@@ -74,7 +74,6 @@ func main() {
 		standby         = flag.Bool("standby", false, "run as a warm-standby coordinator: tail the shared -journal, serve 503s, and take over when the leader's lease expires")
 		leaseTTL        = flag.Duration("lease-ttl", cluster.DefaultLeaseTTL, "coordinator leadership lease horizon; the leader renews at a third of this, a standby takes over once it expires")
 		clusterAttempts = flag.Int("cluster-attempts", 0, "max submissions per job across failover hops (0 = 2x backend count)")
-		pollInterval    = flag.Duration("poll-interval", 50*time.Millisecond, "backend job status poll cadence")
 		probeInterval   = flag.Duration("probe-interval", 500*time.Millisecond, "backend /readyz health probe cadence (negative disables)")
 	)
 	flag.Parse()
@@ -123,7 +122,6 @@ func main() {
 			cfg: cluster.Config{
 				Backends:      backends,
 				Attempts:      *clusterAttempts,
-				PollInterval:  *pollInterval,
 				ProbeInterval: *probeInterval,
 				MinDwell:      *minDwell,
 				Metrics:       reg,
@@ -169,8 +167,23 @@ func main() {
 
 func run(addr, dataDir string, maxBody int64, grace, readTO, writeTO time.Duration, cfg service.Config) error {
 	engine := service.New(cfg)
-	handler := newServer(engine, serverConfig{dataDir: dataDir, maxBody: maxBody, inj: cfg.Fault})
-	return serveHTTP(addr, readTO, writeTO, handler, engine.Shutdown, grace)
+	poll := newLongPoll(writeTO)
+	handler := newServer(engine, serverConfig{dataDir: dataDir, maxBody: maxBody, inj: cfg.Fault, poll: poll})
+	return serveHTTP(addr, newHTTPServer(handler, readTO, writeTO, poll), engine.Shutdown, grace)
+}
+
+// newHTTPServer builds the daemon's http.Server for either mode. The
+// start of Shutdown ends poll's open long-polls, which would otherwise
+// hold the drain until their waits ran out.
+func newHTTPServer(handler http.Handler, readTO, writeTO time.Duration, poll *longPoll) *http.Server {
+	srv := &http.Server{
+		Handler:           handler,
+		ReadTimeout:       readTO,
+		WriteTimeout:      writeTO,
+		ReadHeaderTimeout: 10 * time.Second,
+	}
+	srv.RegisterOnShutdown(poll.drain)
+	return srv
 }
 
 // serveHTTP is the shared daemon skeleton for both modes: listen, log
@@ -178,18 +191,12 @@ func run(addr, dataDir string, maxBody int64, grace, readTO, writeTO time.Durati
 // serve until SIGTERM/SIGINT, then drain — first HTTP (so no new
 // submission can race past the engine close), then the engine or
 // coordinator behind it, both bounded by grace.
-func serveHTTP(addr string, readTO, writeTO time.Duration, handler http.Handler, drain func(context.Context) error, grace time.Duration) error {
-	// Listen before building anything else so "port in use" fails fast,
-	// and so -addr :0 can report the chosen port.
+func serveHTTP(addr string, srv *http.Server, drain func(context.Context) error, grace time.Duration) error {
+	// Listen before serving so "port in use" fails fast, and so -addr :0
+	// can report the chosen port.
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
-	}
-	srv := &http.Server{
-		Handler:           handler,
-		ReadTimeout:       readTO,
-		WriteTimeout:      writeTO,
-		ReadHeaderTimeout: 10 * time.Second,
 	}
 	log.Printf("igpartd: listening on %s", ln.Addr())
 

@@ -3,7 +3,9 @@
 // Endpoints:
 //
 //	POST   /v1/jobs      submit a partitioning job (202 + job id)
-//	GET    /v1/jobs/{id} poll status; terminal jobs carry the result
+//	GET    /v1/jobs/{id} poll status; terminal jobs carry the result.
+//	                     ?wait=<duration> long-polls: the answer comes
+//	                     once the job is terminal or the wait elapses
 //	PATCH  /v1/jobs/{id} submit an ECO delta against a finished job
 //	                     (202 + new job id, warm-started from the cache)
 //	DELETE /v1/jobs/{id} request cooperative cancellation
@@ -43,6 +45,9 @@ type serverConfig struct {
 	// inj arms the transport-layer fault points (io.read-err in netlist
 	// loading); nil disarms them.
 	inj *fault.Injector
+	// poll serves ?wait= on GET /v1/jobs/{id}; nil gets one capped at
+	// maxWait that no drain ends.
+	poll *longPoll
 }
 
 // server routes HTTP requests onto a service.Engine.
@@ -55,6 +60,9 @@ type server struct {
 func newServer(engine *service.Engine, cfg serverConfig) *server {
 	if cfg.maxBody <= 0 {
 		cfg.maxBody = 32 << 20
+	}
+	if cfg.poll == nil {
+		cfg.poll = newLongPoll(0)
 	}
 	s := &server{engine: engine, cfg: cfg, mux: http.NewServeMux()}
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -366,6 +374,9 @@ func (s *server) handleGet(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.engine.Get(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, "unknown job")
+		return
+	}
+	if !s.cfg.poll.wait(w, r, job.Done()) {
 		return
 	}
 	writeJSON(w, http.StatusOK, snapshotJSON(job.Snapshot()))

@@ -220,11 +220,12 @@ func (c *client) patch(ctx context.Context, id string, body []byte) (string, int
 	}
 }
 
-// poll fetches the backend's view of a job. A 404 means the backend
-// lost the job (it restarted and its registry is gone) — a node error,
-// because the cure is resubmission elsewhere.
-func (c *client) poll(ctx context.Context, id string) (*backendJob, error) {
-	status, out, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil)
+// poll fetches the backend's view of a job, asking it to hold the
+// answer until the job is terminal or wait elapses (?wait=). A 404
+// means the backend lost the job (it restarted and its registry is
+// gone) — a node error, because the cure is resubmission elsewhere.
+func (c *client) poll(ctx context.Context, id string, wait time.Duration) (*backendJob, error) {
+	status, out, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"?wait="+wait.String(), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -63,10 +63,10 @@ type Config struct {
 	// chance after a full lap of backoff).
 	Attempts int
 	// MaxInflight bounds concurrently dispatched jobs; accepted jobs
-	// beyond it wait, already journaled (default 128).
+	// beyond it wait, already journaled (default 128). It also sizes the
+	// default transport's idle connections per backend, since each
+	// dispatched job holds at most one backend request open.
 	MaxInflight int
-	// PollInterval paces job status polls (default 50ms).
-	PollInterval time.Duration
 	// ProbeInterval paces the background /readyz prober; negative
 	// disables it (health then updates only from request outcomes),
 	// 0 means the default 500ms.
@@ -75,11 +75,13 @@ type Config struct {
 	// capped at RequestTimeout) so one hung backend cannot stall a
 	// probe round for the whole fleet.
 	ProbeTimeout time.Duration
-	// RequestTimeout bounds each backend HTTP call (default 10s).
+	// RequestTimeout bounds each backend HTTP call (default 10s). A job
+	// status poll long-polls the backend for half of it.
 	RequestTimeout time.Duration
 	// RetryBaseDelay and RetryMaxDelay shape the capped exponential
 	// backoff between failover hops (defaults 100ms and 2s), computed
-	// by the shared fault.BackoffDelay machinery.
+	// by the shared fault.BackoffDelay machinery. RetryBaseDelay also
+	// paces status polls that fail or come back early.
 	RetryBaseDelay time.Duration
 	RetryMaxDelay  time.Duration
 	// MaxFinished bounds how many terminal jobs stay queryable
@@ -102,7 +104,8 @@ type Config struct {
 	// file stops naming it.
 	HA *HAConfig
 	// HTTPClient overrides the backend transport (tests); nil uses a
-	// fresh http.Client.
+	// client with its own transport that keeps up to MaxInflight idle
+	// connections per backend, so concurrent long-polls reuse them.
 	HTTPClient *http.Client
 }
 
@@ -123,9 +126,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 128
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 50 * time.Millisecond
 	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 500 * time.Millisecond
@@ -155,7 +155,12 @@ func (c Config) withDefaults() Config {
 		c.Metrics = new(obs.Registry)
 	}
 	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{}
+		t := http.DefaultTransport.(*http.Transport).Clone()
+		// The per-host cap is what matters; the default total cap of 100
+		// would undercut it with two or more busy backends.
+		t.MaxIdleConns = 0
+		t.MaxIdleConnsPerHost = c.MaxInflight
+		c.HTTPClient = &http.Client{Transport: t}
 	}
 	return c
 }
@@ -798,19 +803,26 @@ func (c *Coordinator) run(j *Job) {
 
 // pollErrLimit is how many consecutive poll failures declare the
 // backend dead. One transient blip should not trigger a resubmission;
-// three in a row (with the poll interval between them) is a node that
+// three in a row (with RetryBaseDelay between them) is a node that
 // stopped answering.
 const pollErrLimit = 3
 
-// pollUntilTerminal polls the backend until the job is terminal there.
+// pollUntilTerminal long-polls the backend until the job is terminal
+// there: each GET asks the backend to hold the answer for up to
+// RequestTimeout/2, so a job that finishes within the wait costs one
+// round trip and is relayed the moment it is done. A non-terminal
+// answer that comes back before the wait elapsed (a backend that
+// ignores ?wait=, or one that is draining) and a failed poll are both
+// followed by a RetryBaseDelay pause, so neither turns into a hot loop.
 // It returns a node-level error when the backend stops answering.
 func (c *Coordinator) pollUntilTerminal(j *Job, cl *client, bid string) (*backendJob, error) {
+	wait := c.cfg.RequestTimeout / 2
+	polls := c.reg.Counter("cluster.backend_polls")
 	consecutive := 0
 	for {
-		if err := sleepCtx(j.ctx, c.cfg.PollInterval); err != nil {
-			return nil, err
-		}
-		bj, err := cl.poll(j.ctx, bid)
+		start := time.Now()
+		bj, err := cl.poll(j.ctx, bid, wait)
+		polls.Add(1)
 		if err != nil {
 			if j.ctx.Err() != nil {
 				return nil, err
@@ -822,11 +834,17 @@ func (c *Coordinator) pollUntilTerminal(j *Job, cl *client, bid string) (*backen
 			if consecutive >= pollErrLimit || (isNodeError(err) && !cl.Healthy()) {
 				return nil, err
 			}
-			continue
+		} else {
+			consecutive = 0
+			if terminalState(bj.State) {
+				return bj, nil
+			}
+			if time.Since(start) >= wait {
+				continue
+			}
 		}
-		consecutive = 0
-		if terminalState(bj.State) {
-			return bj, nil
+		if err := sleepCtx(j.ctx, c.cfg.RetryBaseDelay); err != nil {
+			return nil, err
 		}
 	}
 }
@@ -1014,7 +1032,8 @@ func (c *Coordinator) GatherMetrics(ctx context.Context) map[string]json.RawMess
 // journaling completions — exactly a crash from the journal's point of
 // view, so the next boot replays them; the ctx error is returned.
 // Under HA the leader lock is released (if still ours) so a standby
-// can take over without waiting out the lease window.
+// can take over without waiting out the lease window. Idle backend
+// connections are closed last.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
 	c.mu.Lock()
 	c.closed = true
@@ -1039,6 +1058,7 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 		<-drained
 		err = ctx.Err()
 	}
+	c.cfg.HTTPClient.CloseIdleConnections()
 	if jerr := c.journal.Close(); err == nil && jerr != nil {
 		err = jerr
 	}

@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,15 +18,20 @@ import (
 
 // fakeBackend is a controllable stand-in for an igpartd node: it
 // speaks just enough of the /v1/jobs wire protocol for the coordinator
-// and lets tests hold jobs open, reject submissions, and die.
+// (including the ?wait= long-poll) and lets tests hold jobs open,
+// reject submissions, and die.
 type fakeBackend struct {
 	mu          sync.Mutex
 	nextID      int
 	jobs        map[string]*fakeJob
 	hold        bool     // new jobs stay "running" until released
 	rejectWith  int      // non-zero: POST /v1/jobs answers this status
+	ignoreWait  bool     // answer GETs at once, like a backend without ?wait=
 	submissions []int64  // request seeds in arrival order
 	cancelled   []string // backend job IDs DELETEd
+	gets        int      // GET /v1/jobs/{id} requests served
+	waiting     int      // GETs currently held open by ?wait=
+	conns       atomic.Int64
 	srv         *httptest.Server
 }
 
@@ -32,6 +39,16 @@ type fakeJob struct {
 	seed   int64
 	state  string
 	result json.RawMessage
+	done   chan struct{} // closed once state is terminal
+}
+
+// settle moves a job to a terminal state. Callers hold f.mu.
+func (j *fakeJob) settle(state string) {
+	j.state = state
+	if state == StateDone {
+		j.result = json.RawMessage(fmt.Sprintf(`{"algo":"igmatch","ratio_cut":2.5,"seed":%d}`, j.seed))
+	}
+	close(j.done)
 }
 
 func newFakeBackend() *fakeBackend {
@@ -48,7 +65,13 @@ func newFakeBackend() *fakeBackend {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprint(w, `{"counters":{"fake":1}}`)
 	})
-	f.srv = httptest.NewServer(mux)
+	f.srv = httptest.NewUnstartedServer(mux)
+	f.srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			f.conns.Add(1)
+		}
+	}
+	f.srv.Start()
 	return f
 }
 
@@ -66,10 +89,9 @@ func (f *fakeBackend) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewDecoder(r.Body).Decode(&body)
 	f.nextID++
 	id := fmt.Sprintf("fj-%d", f.nextID)
-	j := &fakeJob{seed: body.Seed, state: StateRunning}
+	j := &fakeJob{seed: body.Seed, state: StateRunning, done: make(chan struct{})}
 	if !f.hold {
-		j.state = StateDone
-		j.result = json.RawMessage(fmt.Sprintf(`{"algo":"igmatch","ratio_cut":2.5,"seed":%d}`, body.Seed))
+		j.settle(StateDone)
 	}
 	f.jobs[id] = j
 	f.submissions = append(f.submissions, body.Seed)
@@ -80,11 +102,25 @@ func (f *fakeBackend) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (f *fakeBackend) handleGet(w http.ResponseWriter, r *http.Request) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.gets++
 	j, ok := f.jobs[r.PathValue("id")]
 	if !ok {
 		w.WriteHeader(http.StatusNotFound)
 		fmt.Fprint(w, `{"error":"unknown job"}`)
 		return
+	}
+	if wait, err := time.ParseDuration(r.URL.Query().Get("wait")); err == nil && !f.ignoreWait {
+		f.waiting++
+		f.mu.Unlock()
+		t := time.NewTimer(wait)
+		select {
+		case <-j.done:
+		case <-t.C:
+		case <-r.Context().Done():
+		}
+		t.Stop()
+		f.mu.Lock()
+		f.waiting--
 	}
 	out := map[string]any{"id": r.PathValue("id"), "state": j.state}
 	if j.result != nil {
@@ -99,7 +135,7 @@ func (f *fakeBackend) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	f.cancelled = append(f.cancelled, id)
 	if j, ok := f.jobs[id]; ok && !terminalState(j.state) {
-		j.state = StateCancelled
+		j.settle(StateCancelled)
 	}
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprint(w, `{}`)
@@ -111,8 +147,7 @@ func (f *fakeBackend) release(seed int64) {
 	defer f.mu.Unlock()
 	for _, j := range f.jobs {
 		if j.seed == seed && j.state == StateRunning {
-			j.state = StateDone
-			j.result = json.RawMessage(fmt.Sprintf(`{"algo":"igmatch","ratio_cut":2.5,"seed":%d}`, j.seed))
+			j.settle(StateDone)
 		}
 	}
 }
@@ -137,10 +172,13 @@ func testCluster(t *testing.T, cfg Config) (*Coordinator, *fakeBackend, *fakeBac
 	b0, b1 := newFakeBackend(), newFakeBackend()
 	t.Cleanup(func() { b0.srv.Close(); b1.srv.Close() })
 	cfg.Backends = []Backend{{Name: "b0", URL: b0.srv.URL}, {Name: "b1", URL: b1.srv.URL}}
-	cfg.PollInterval = 2 * time.Millisecond
 	cfg.ProbeInterval = -1
-	cfg.RetryBaseDelay = time.Millisecond
-	cfg.RetryMaxDelay = 4 * time.Millisecond
+	if cfg.RetryBaseDelay == 0 {
+		cfg.RetryBaseDelay = time.Millisecond
+	}
+	if cfg.RetryMaxDelay == 0 {
+		cfg.RetryMaxDelay = 4 * time.Millisecond
+	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = new(obs.Registry)
 	}
@@ -440,7 +478,6 @@ func TestCoordinatorJournalRecovery(t *testing.T) {
 	wipeSubmissions(b1)
 	cfg := Config{
 		Backends:       []Backend{{Name: "b0", URL: b0.srv.URL}, {Name: "b1", URL: b1.srv.URL}},
-		PollInterval:   2 * time.Millisecond,
 		ProbeInterval:  -1,
 		RetryBaseDelay: time.Millisecond,
 		Journal:        journal2,
@@ -539,5 +576,126 @@ func TestCoordinatorAggregation(t *testing.T) {
 	}
 	if ms["b1"] != nil {
 		t.Error("dead backend should map to null metrics")
+	}
+}
+
+// counts reads the fake's request tallies under its lock.
+func (f *fakeBackend) counts() (gets, waiting int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.gets, f.waiting
+}
+
+// waitFor polls cond until it holds, failing the test after 5s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// A job that finishes within the long-poll's wait costs exactly one
+// backend GET after the submit: the coordinator asks at once, the
+// backend holds the answer, and the release completes the job.
+func TestCoordinatorLongPollOneGet(t *testing.T) {
+	c, b0, b1 := testCluster(t, Config{})
+	key := "long-poll-key"
+	owner, other := byName(c, b0, b1, c.Ring().Owner(key))
+	owner.setHold(true)
+
+	j := mustSubmit(t, c, key, 11)
+	waitFor(t, "the long-poll to open", func() bool { _, w := owner.counts(); return w == 1 })
+	owner.release(11)
+	if snap := waitDone(t, j); snap.State != StateDone {
+		t.Fatalf("state %s, err %q", snap.State, snap.Err)
+	}
+	if gets, _ := owner.counts(); gets != 1 {
+		t.Errorf("owner served %d GETs, want exactly 1", gets)
+	}
+	if gets, _ := other.counts(); gets != 0 {
+		t.Errorf("other backend served %d GETs, want 0", gets)
+	}
+	if got := c.Metrics().Counter("cluster.backend_polls").Value(); got != 1 {
+		t.Errorf("cluster.backend_polls = %d, want 1", got)
+	}
+}
+
+// A backend that ignores ?wait= (an older igpartd) answers "running" at
+// once; the coordinator must pause RetryBaseDelay between such answers
+// instead of hot-looping on it.
+func TestCoordinatorPacesBackendWithoutWait(t *testing.T) {
+	const base = 20 * time.Millisecond
+	c, b0, b1 := testCluster(t, Config{RetryBaseDelay: base, RetryMaxDelay: 2 * base})
+	key := "old-backend-key"
+	owner, _ := byName(c, b0, b1, c.Ring().Owner(key))
+	owner.mu.Lock()
+	owner.hold, owner.ignoreWait = true, true
+	owner.mu.Unlock()
+
+	start := time.Now()
+	j := mustSubmit(t, c, key, 12)
+	time.Sleep(15 * base) // let the poll loop run for a while
+	gets, _ := owner.counts()
+	elapsed := time.Since(start)
+	if limit := int(elapsed/base) + 1; gets > limit {
+		t.Errorf("%d GETs in %v, want at most %d (one per RetryBaseDelay)", gets, elapsed, limit)
+	}
+	if gets < 2 {
+		t.Errorf("%d GETs in %v: the coordinator stopped polling", gets, elapsed)
+	}
+	owner.release(12)
+	if snap := waitDone(t, j); snap.State != StateDone {
+		t.Fatalf("state %s, err %q", snap.State, snap.Err)
+	}
+}
+
+// Forwarded jobs reuse keep-alive connections to the backends: 32
+// sequential jobs open at most a couple of connections per backend,
+// and a second wave of concurrent long-polls reuses the first wave's
+// connections instead of dialling new ones.
+func TestCoordinatorReusesBackendConnections(t *testing.T) {
+	c, b0, b1 := testCluster(t, Config{})
+	for i := 0; i < 32; i++ {
+		if snap := waitDone(t, mustSubmit(t, c, fmt.Sprintf("seq-key-%d", i), int64(100+i))); snap.State != StateDone {
+			t.Fatalf("job %d: state %s, err %q", i, snap.State, snap.Err)
+		}
+	}
+	for _, f := range []*fakeBackend{b0, b1} {
+		if n := f.conns.Load(); n > 2 {
+			t.Errorf("32 sequential jobs opened %d connections to one backend, want <= 2", n)
+		}
+	}
+
+	const wave = 16
+	runWave := func(seed0 int64) {
+		b0.setHold(true)
+		b1.setHold(true)
+		jobs := make([]*Job, wave)
+		for i := range jobs {
+			// The same keys every wave, so each backend gets the same share.
+			jobs[i] = mustSubmit(t, c, fmt.Sprintf("wave-key-%d", i), seed0+int64(i))
+		}
+		waitFor(t, "every long-poll to open", func() bool {
+			_, w0 := b0.counts()
+			_, w1 := b1.counts()
+			return w0+w1 == wave
+		})
+		for i := range jobs {
+			b0.release(seed0 + int64(i))
+			b1.release(seed0 + int64(i))
+		}
+		for _, j := range jobs {
+			waitDone(t, j)
+		}
+	}
+	runWave(1000)
+	before := b0.conns.Load() + b1.conns.Load()
+	runWave(2000)
+	if n := b0.conns.Load() + b1.conns.Load() - before; n > 4 {
+		t.Errorf("a repeated wave of %d concurrent long-polls opened %d new connections, want <= 4", wave, n)
 	}
 }

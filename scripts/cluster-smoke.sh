@@ -67,7 +67,7 @@ boot_daemon "$workdir/coord.log" -coordinator \
     -backends "n1=http://$n1_addr,n2=http://$n2_addr" \
     -journal "$workdir/journal.jsonl" \
     -data "$workdir/data" \
-    -write-timeout 0 -poll-interval 20ms -probe-interval 100ms
+    -write-timeout 0 -probe-interval 100ms
 coord_pid=$daemon_pid coord_addr=$addr
 say "coordinator up at $coord_addr"
 wait_ready
@@ -182,13 +182,13 @@ boot_daemon "$workdir/leader.log" -coordinator \
     -backends "m1=http://$m1_addr,m2=http://$m2_addr" \
     -journal "$ha_journal" -lease-ttl 1s \
     -data "$workdir/data" \
-    -write-timeout 0 -poll-interval 20ms -probe-interval 100ms
+    -write-timeout 0 -probe-interval 100ms
 leader_pid=$daemon_pid leader_addr=$addr
 boot_daemon "$workdir/standby.log" -coordinator -standby \
     -backends "m1=http://$m1_addr,m2=http://$m2_addr" \
     -journal "$ha_journal" -lease-ttl 1s \
     -data "$workdir/data" \
-    -write-timeout 0 -poll-interval 20ms -probe-interval 100ms
+    -write-timeout 0 -probe-interval 100ms
 standby_pid=$daemon_pid standby_addr=$addr
 addr=$leader_addr
 wait_ready
@@ -313,7 +313,7 @@ boot_daemon "$workdir/coord2.log" -coordinator \
     -backends-file "$backends_file" \
     -membership-poll 100ms -min-dwell=-1s \
     -data "$workdir/data" \
-    -write-timeout 0 -poll-interval 20ms -probe-interval 100ms
+    -write-timeout 0 -probe-interval 100ms
 coord2_pid=$daemon_pid coord2_addr=$addr
 addr=$coord2_addr
 wait_ready

@@ -80,20 +80,20 @@ wait_ready() {
     die "daemon at $addr never became ready"
 }
 
-# poll_job JOB_ID: poll until terminal; leaves the state in $state and
+# poll_job JOB_ID: long-poll until terminal — each GET waits up to 5s
+# for the job, for a 60s budget in all; leaves the state in $state and
 # the last response in $resp.
 poll_job() {
     job=$1
     state=""
     i=0
-    while [ $i -lt 300 ]; do
-        fetch GET "/v1/jobs/$job"
+    while [ $i -lt 12 ]; do
+        fetch GET "/v1/jobs/$job?wait=5s"
         [ "$status" = 200 ] || die "poll -> $status ($resp)"
         state=$(printf '%s' "$resp" | sed -n 's/.*"state":"\([^"]*\)".*/\1/p')
         case "$state" in
             done|failed|cancelled) return 0 ;;
         esac
-        sleep 0.2
         i=$((i + 1))
     done
     die "job $job stuck in state '$state'"
