@@ -25,13 +25,14 @@ lint:
 
 # Tier-1 chain: vet, full test run, a race pass over the concurrent
 # packages (the parallel sweep engine and matvec kernels, the matching
-# substrate, the portfolio racer, the job engine, the cluster
-# coordinator, and the HTTP daemon), and a 10-second fuzz smoke of the
+# substrate, the portfolio racer, the shared job lifecycle, the job
+# engine, the cluster coordinator, and the HTTP daemon), and a 10-second
+# fuzz smoke of the
 # Bookshelf writer round trip.
 test:
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/core ./internal/bipartite ./internal/sparse ./internal/par ./internal/multiway ./internal/portfolio ./internal/features ./internal/service ./internal/cluster ./cmd/igpartd
+	$(GO) test -race ./internal/core ./internal/bipartite ./internal/sparse ./internal/par ./internal/multiway ./internal/portfolio ./internal/features ./internal/jobs ./internal/service ./internal/cluster ./cmd/igpartd
 	$(GO) test ./internal/hypergraph -run '^$$' -fuzz '^FuzzBookshelfRoundTrip$$' -fuzztime 10s
 
 # CI fuzz smoke: 10 seconds each on the Bookshelf writer round trip, the
@@ -48,14 +49,16 @@ fuzz-smoke:
 
 # Chaos suite: the seeded fault-injection and panic-isolation tests —
 # injector determinism, shard panic barriers, eigen fallback rungs, the
-# 100-panicking-jobs survival run, the daemon's degraded-readiness
-# probes, and the cluster tier's failover, journal-recovery, HA
+# 100-panicking-jobs survival run, the job lifecycle's drain and
+# cancel races, the daemon's degraded-readiness probes, and the cluster
+# tier's failover, journal-recovery, HA
 # (lease fencing, standby takeover, coordinator crash injection), and
 # membership-churn paths — all under the race detector.
 chaos:
 	$(GO) test -race ./internal/fault
 	$(GO) test -race ./internal/core -run 'Panic|SlowShard|FaultThreaded'
 	$(GO) test -race ./internal/eigen -run 'Fallback|NoConverge|Rung|NonFinite'
+	$(GO) test -race ./internal/jobs -run 'Drain|Race|Cancel|Close'
 	$(GO) test -race ./internal/service -run 'Chaos|Retry|Backoff|Health|Validate|ShutdownRacingCancel'
 	$(GO) test -race ./internal/cluster -run 'Failover|Dead|JournalRecovery|Backpressure|Lease|Standby|Membership|Backends|Crash|Probe'
 	$(GO) test -race ./cmd/igpartd -run 'Readyz|Liveness|IOReadErr|BadRequest|ClusterChaos|ClusterCoordinatorRestart|Standby|SwitchHandler'
@@ -118,9 +121,9 @@ experiments:
 # COVER_PKGS must each stay at or above COVER_MIN% statement coverage:
 # the pipeline core, the multilevel engine, the balanced k-way engine,
 # the observability layer, the matching substrate, the portfolio racer
-# and its feature extractor, the partition-service job engine, and the
-# cluster coordinator.
-COVER_PKGS = igpart/internal/core igpart/internal/multilevel igpart/internal/multiway igpart/internal/obs igpart/internal/bipartite igpart/internal/portfolio igpart/internal/features igpart/internal/service igpart/internal/cluster
+# and its feature extractor, the shared job lifecycle, the
+# partition-service job engine, and the cluster coordinator.
+COVER_PKGS = igpart/internal/core igpart/internal/multilevel igpart/internal/multiway igpart/internal/obs igpart/internal/bipartite igpart/internal/portfolio igpart/internal/features igpart/internal/jobs igpart/internal/service igpart/internal/cluster
 COVER_MIN  = 70
 
 cover:

@@ -214,7 +214,7 @@ func main() {
 		end()
 	case "multiway":
 		end := span("multiway")
-		mw, err := igpart.Multiway(h, *k)
+		mw, err := igpart.KWay(h, *k, igpart.KWayOptions{Eps: igpart.EpsUnbounded})
 		end()
 		if err != nil {
 			fatal(err)

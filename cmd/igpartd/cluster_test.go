@@ -33,7 +33,7 @@ func newClusterBackend(t *testing.T, name string) *clusterBackend {
 	t.Helper()
 	reg := new(obs.Registry)
 	engine := service.New(service.Config{Workers: 1, Metrics: reg})
-	ts := httptest.NewServer(newServer(engine, serverConfig{}))
+	ts := httptest.NewServer(newServer(engineMode{engine}, serverConfig{}))
 	b := &clusterBackend{name: name, engine: engine, reg: reg, ts: ts}
 	t.Cleanup(func() {
 		ts.Close()
@@ -101,7 +101,7 @@ func testCoordinator(t *testing.T, journalPath string, probe time.Duration, back
 		t.Fatal(err)
 	}
 	coord.Recover(replay)
-	ts := httptest.NewServer(newCoordServer(coord, "", 0, newLongPoll(0)))
+	ts := httptest.NewServer(newServer(coordMode{coord}, serverConfig{poll: newLongPoll(0)}))
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -153,7 +153,7 @@ func TestLongPollEndsOnDrain(t *testing.T) {
 		_ = engine.Shutdown(ctx)
 	}()
 	poll := newLongPoll(0)
-	srv := newHTTPServer(newServer(engine, serverConfig{poll: poll}), 0, 0, poll)
+	srv := newHTTPServer(newServer(engineMode{engine}, serverConfig{poll: poll}), 0, 0, poll)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

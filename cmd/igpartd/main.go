@@ -14,16 +14,45 @@
 //	igpartd -coordinator -backends http://n1:8080,http://n2:8080 \
 //	        -journal /var/lib/igpartd/journal.jsonl
 //
-// The coordinator keeps the same /v1/jobs API, adds POST /v1/batches
-// with streamed per-job completions, routes every job to a backend by
-// consistent hashing on the netlist's content address, fails work over
-// when a backend dies, and journals accepted jobs durably so its own
-// restart loses nothing.
-//
-// The control plane itself is made highly available by a warm standby
-// sharing the journal path (-standby: tails the journal, takes over on
-// lease expiry), and the fleet can change live via a watchable
+// The coordinator routes every job to a backend by consistent hashing
+// on the netlist's content address, fails work over when a backend
+// dies, and journals accepted jobs durably so its own restart loses
+// nothing. The control plane itself is made highly available by a warm
+// standby sharing the journal path (-standby: tails the journal, takes
+// over on lease expiry), and the fleet can change live via a watchable
 // backends file (-backends-file; SIGHUP forces a reload).
+//
+// Every mode serves one route table:
+//
+//	POST   /v1/jobs      submit a partitioning job (202 + job id and
+//	                     Location); the coordinator forwards it with the
+//	                     netlist inlined, so backends need no shared
+//	                     filesystem
+//	GET    /v1/jobs/{id} poll status; terminal jobs carry the result (the
+//	                     coordinator relays the backend's verbatim).
+//	                     ?wait=<duration> long-polls: the answer comes
+//	                     once the job is terminal or the wait elapses
+//	PATCH  /v1/jobs/{id} submit an ECO delta against a finished job (202
+//	                     + new job id, warm-started from the cache of the
+//	                     node that solved the base)
+//	DELETE /v1/jobs/{id} request cooperative cancellation (propagated to
+//	                     the owning backend)
+//	POST   /v1/batches   coordinator only: submit many jobs in one
+//	                     request; the chunked NDJSON response streams one
+//	                     event per job completion (with its obs span)
+//	GET    /healthz      liveness probe (alias of /livez)
+//	GET    /livez        liveness probe: 200 while the process serves
+//	GET    /readyz       readiness probe: 503 while the engine is
+//	                     degraded (queue backlog or consecutive solve
+//	                     panics) or draining, the coordinator has no
+//	                     ready backend, or the process is a standby
+//	GET    /metrics      the obs metrics registry as JSON; the
+//	                     coordinator adds every backend's /metrics
+//
+// Submission is non-blocking end to end: a full queue answers 429
+// immediately (the engine's explicit-rejection backpressure), so the
+// daemon never accumulates hidden in-flight work beyond its bounds. A
+// standby answers everything but the probes with 503 + Retry-After.
 package main
 
 import (
@@ -78,6 +107,14 @@ func main() {
 	)
 	flag.Parse()
 
+	reg := new(igpart.MetricsRegistry)
+	inj, err := igpart.ParseFaultSpec(*inject, *injectSeed, reg)
+	if err != nil {
+		log.Fatalf("igpartd: -inject: %v", err)
+	}
+	if inj != nil {
+		log.Printf("igpartd: FAULT INJECTION ARMED: %s", inj)
+	}
 	if *coordinator {
 		// http.Server's WriteTimeout is absolute from request start, which
 		// would kill a chunked /v1/batches stream mid-flight; unless the
@@ -97,14 +134,17 @@ func main() {
 		if *standby && *journalPath == "" {
 			log.Fatalf("igpartd: -standby requires -journal (the leadership lease lives there)")
 		}
-		reg := new(igpart.MetricsRegistry)
-		inj, err := igpart.ParseFaultSpec(*inject, *injectSeed, reg)
-		if err != nil {
-			log.Fatalf("igpartd: -inject: %v", err)
-		}
-		if inj != nil {
-			log.Printf("igpartd: FAULT INJECTION ARMED: %s", inj)
-		}
+	} else if *backendsFlag != "" || *backendsFile != "" || *journalPath != "" || *standby {
+		log.Fatalf("igpartd: -backends/-backends-file/-journal/-standby require -coordinator")
+	}
+
+	poll := newLongPoll(*writeTimeout)
+	scfg := serverConfig{dataDir: *dataDir, maxBody: *maxBody, poll: poll}
+	var (
+		srv   *server
+		drain func(context.Context) error
+	)
+	if *coordinator {
 		var backends []cluster.Backend
 		if *backendsFlag != "" {
 			backends, err = cluster.ParseBackends(*backendsFlag)
@@ -112,13 +152,7 @@ func main() {
 				log.Fatalf("igpartd: -backends: %v", err)
 			}
 		}
-		err = runCoordinator(coordOptions{
-			addr:    *addr,
-			dataDir: *dataDir,
-			maxBody: *maxBody,
-			grace:   *shutdownGrace,
-			readTO:  *readTimeout,
-			writeTO: *writeTimeout,
+		srv, drain, err = startCoordinator(scfg, coordOptions{
 			cfg: cluster.Config{
 				Backends:      backends,
 				Attempts:      *clusterAttempts,
@@ -132,44 +166,27 @@ func main() {
 			leaseTTL:       *leaseTTL,
 			backendsFile:   *backendsFile,
 			membershipPoll: *membershipPoll,
-			inj:            inj,
 		})
 		if err != nil {
 			log.Fatalf("igpartd: %v", err)
 		}
-		return
+	} else {
+		engine := service.New(service.Config{
+			Workers:        *workers,
+			QueueDepth:     *queue,
+			CacheEntries:   *cacheEntries,
+			DefaultTimeout: *jobTimeout,
+			MaxTimeout:     *maxJobTimeout,
+			Metrics:        reg,
+			RetryAttempts:  *retry,
+			Fault:          inj,
+		})
+		scfg.inj = inj
+		srv, drain = newServer(engineMode{engine}, scfg), engine.Shutdown
 	}
-	if *backendsFlag != "" || *backendsFile != "" || *journalPath != "" || *standby {
-		log.Fatalf("igpartd: -backends/-backends-file/-journal/-standby require -coordinator")
-	}
-
-	reg := new(igpart.MetricsRegistry)
-	inj, err := igpart.ParseFaultSpec(*inject, *injectSeed, reg)
-	if err != nil {
-		log.Fatalf("igpartd: -inject: %v", err)
-	}
-	if inj != nil {
-		log.Printf("igpartd: FAULT INJECTION ARMED: %s", inj)
-	}
-	if err := run(*addr, *dataDir, *maxBody, *shutdownGrace, *readTimeout, *writeTimeout, service.Config{
-		Workers:        *workers,
-		QueueDepth:     *queue,
-		CacheEntries:   *cacheEntries,
-		DefaultTimeout: *jobTimeout,
-		MaxTimeout:     *maxJobTimeout,
-		Metrics:        reg,
-		RetryAttempts:  *retry,
-		Fault:          inj,
-	}); err != nil {
+	if err := serveHTTP(*addr, newHTTPServer(srv, *readTimeout, *writeTimeout, poll), drain, *shutdownGrace); err != nil {
 		log.Fatalf("igpartd: %v", err)
 	}
-}
-
-func run(addr, dataDir string, maxBody int64, grace, readTO, writeTO time.Duration, cfg service.Config) error {
-	engine := service.New(cfg)
-	poll := newLongPoll(writeTO)
-	handler := newServer(engine, serverConfig{dataDir: dataDir, maxBody: maxBody, inj: cfg.Fault, poll: poll})
-	return serveHTTP(addr, newHTTPServer(handler, readTO, writeTO, poll), engine.Shutdown, grace)
 }
 
 // newHTTPServer builds the daemon's http.Server for either mode. The

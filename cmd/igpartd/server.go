@@ -1,26 +1,7 @@
-// igpartd's HTTP layer: a thin JSON façade over internal/service.
-//
-// Endpoints:
-//
-//	POST   /v1/jobs      submit a partitioning job (202 + job id)
-//	GET    /v1/jobs/{id} poll status; terminal jobs carry the result.
-//	                     ?wait=<duration> long-polls: the answer comes
-//	                     once the job is terminal or the wait elapses
-//	PATCH  /v1/jobs/{id} submit an ECO delta against a finished job
-//	                     (202 + new job id, warm-started from the cache)
-//	DELETE /v1/jobs/{id} request cooperative cancellation
-//	GET    /healthz      liveness probe (alias of /livez)
-//	GET    /livez        liveness probe: 200 while the process serves
-//	GET    /readyz       readiness probe: 503 while degraded (queue
-//	                     backlog or consecutive solve panics) or draining
-//	GET    /metrics      JSON dump of the obs metrics registry
-//
-// Submission is non-blocking end to end: a full queue answers 429
-// immediately (the engine's explicit-rejection backpressure), so the
-// daemon never accumulates hidden in-flight work beyond its bounds.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,14 +9,56 @@ import (
 	"net/http"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"igpart"
+	"igpart/internal/cluster"
 	"igpart/internal/fault"
+	"igpart/internal/jobs"
+	"igpart/internal/obs"
 	"igpart/internal/service"
 )
 
-// serverConfig carries the HTTP-layer knobs (the engine has its own).
+// mode is what the process currently serves behind its one route
+// table: the local engine, the cluster coordinator, or a standby
+// coordinator waiting for the leadership lease. All three answer the
+// probes.
+type mode interface {
+	live() any
+	// ready returns the /readyz status code and payload.
+	ready(ctx context.Context) (int, any)
+}
+
+// leader is a mode that serves the job API. A standby is not one: until
+// it takes over, every request but the probes answers 503 + Retry-After.
+type leader interface {
+	mode
+	// submit accepts one job whose netlist the handler already loaded.
+	submit(req *submitRequest, h *igpart.Netlist) (job, error)
+	// submitDelta accepts an ECO delta — the PATCH body as sent —
+	// against a finished job.
+	submitDelta(ctx context.Context, baseID string, body json.RawMessage) (job, error)
+	get(id string) (job, bool)
+	metrics(ctx context.Context) any
+}
+
+// batcher is a leader that takes /v1/batches: the coordinator.
+type batcher interface {
+	submitBatch(reqs []submitRequest, hs []*igpart.Netlist) (*cluster.Batch, error)
+}
+
+// job is one tracked job as the handlers see it.
+type job interface {
+	ID() string
+	Done() <-chan struct{}
+	Cancel()
+	// view is the job's wire form.
+	view() any
+}
+
+// serverConfig carries the HTTP-layer knobs (the engine and the
+// coordinator have their own).
 type serverConfig struct {
 	// dataDir is the root for server-side netlist paths in submissions;
 	// empty disables the "path" field entirely.
@@ -50,25 +73,31 @@ type serverConfig struct {
 	poll *longPoll
 }
 
-// server routes HTTP requests onto a service.Engine.
+// server is igpartd's one handler set, in every mode. The route table
+// is fixed; set swaps the mode behind it when a standby takes over.
 type server struct {
-	engine *service.Engine
-	cfg    serverConfig
-	mux    *http.ServeMux
+	cfg serverConfig
+	mux *http.ServeMux
+	cur atomic.Pointer[mode]
 }
 
-func newServer(engine *service.Engine, cfg serverConfig) *server {
+func newServer(m mode, cfg serverConfig) *server {
 	if cfg.maxBody <= 0 {
 		cfg.maxBody = 32 << 20
 	}
 	if cfg.poll == nil {
 		cfg.poll = newLongPoll(0)
 	}
-	s := &server{engine: engine, cfg: cfg, mux: http.NewServeMux()}
+	s := &server{cfg: cfg, mux: http.NewServeMux()}
+	s.set(m)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
 	s.mux.HandleFunc("PATCH /v1/jobs/{id}", s.handlePatch)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
+	if _, single := m.(engineMode); !single {
+		// A coordinator route; a standby may become a coordinator.
+		s.mux.HandleFunc("POST /v1/batches", s.handleBatch)
+	}
 	s.mux.HandleFunc("GET /healthz", s.handleLive)
 	s.mux.HandleFunc("GET /livez", s.handleLive)
 	s.mux.HandleFunc("GET /readyz", s.handleReady)
@@ -76,8 +105,32 @@ func newServer(engine *service.Engine, cfg serverConfig) *server {
 	return s
 }
 
+// set swaps the mode behind the route table; requests already past the
+// swap finish on the old one.
+func (s *server) set(m mode) { s.cur.Store(&m) }
+
+func (s *server) mode() mode { return *s.cur.Load() }
+
+// leader returns the current mode as a leader. ServeHTTP lets no
+// request reach a job handler while the mode is not one, and a standby
+// only ever becomes a leader, never the reverse.
+func (s *server) leader() leader { return s.mode().(leader) }
+
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if _, ok := s.mode().(leader); !ok && !isProbe(r) {
+		w.Header().Set("Retry-After", "1")
+		httpError(w, http.StatusServiceUnavailable, "standby coordinator: not the leader yet; retry after takeover")
+		return
+	}
 	s.mux.ServeHTTP(w, r)
+}
+
+func isProbe(r *http.Request) bool {
+	switch r.URL.Path {
+	case "/healthz", "/livez", "/readyz":
+		return r.Method == http.MethodGet || r.Method == http.MethodHead
+	}
+	return false
 }
 
 // submitRequest is the POST /v1/jobs payload. Exactly one netlist
@@ -109,132 +162,82 @@ type submitRequest struct {
 	Accept   float64 `json:"accept,omitempty"`
 }
 
-// deltaRequest is the PATCH /v1/jobs/{id} payload: an ECO delta to
-// apply against the identified finished job.
-type deltaRequest struct {
-	Delta     *igpart.NetlistDelta `json:"delta"`
-	TimeoutMS int64                `json:"timeout_ms,omitempty"`
-}
-
 // bookshelfPair is an inline UCLA Bookshelf netlist.
 type bookshelfPair struct {
 	Nodes string `json:"nodes"`
 	Nets  string `json:"nets"`
 }
 
-// jobJSON is the wire form of a job snapshot.
-type jobJSON struct {
-	ID     string `json:"id"`
-	State  string `json:"state"`
-	Cached bool   `json:"cached,omitempty"`
-	Error  string `json:"error,omitempty"`
-	// Stack carries the recovered panic stack when the job failed
-	// because a solve panicked; empty otherwise.
-	Stack     string      `json:"stack,omitempty"`
-	Submitted time.Time   `json:"submitted"`
-	Started   *time.Time  `json:"started,omitempty"`
-	Finished  *time.Time  `json:"finished,omitempty"`
-	Result    *resultJSON `json:"result,omitempty"`
+// batchRequest is the POST /v1/batches payload.
+type batchRequest struct {
+	Jobs []submitRequest `json:"jobs"`
 }
 
-type resultJSON struct {
-	Algo         string  `json:"algo"`
-	CutNets      int     `json:"cut_nets"`
-	SizeU        int     `json:"size_u"`
-	SizeW        int     `json:"size_w"`
-	RatioCut     float64 `json:"ratio_cut"`
-	Lambda2      float64 `json:"lambda2,omitempty"`
-	BestRank     int     `json:"best_rank,omitempty"`
-	Levels       int     `json:"levels,omitempty"`
-	CoarsestNets int     `json:"coarsest_nets,omitempty"`
-	// Winner names the portfolio race's winning engine (algo
-	// "portfolio"); Warm and TouchedNets describe an ECO delta job's
-	// warm start.
-	Winner      string `json:"winner,omitempty"`
-	Warm        bool   `json:"warm,omitempty"`
-	TouchedNets int    `json:"touched_nets,omitempty"`
-	// Sides is per-module 0/1; an explicit int array rather than
-	// []igpart.Side, which (being a byte slice) would marshal as base64.
-	Sides []int `json:"sides,omitempty"`
-	// Balanced k-way results carry the per-module part assignment and the
-	// multiway metrics instead of Sides and the bipartition metrics.
-	K            int           `json:"k,omitempty"`
-	Cap          int           `json:"cap,omitempty"`
-	Parts        []int         `json:"parts,omitempty"`
-	PartSizes    []int         `json:"part_sizes,omitempty"`
-	SpanningNets int           `json:"spanning_nets,omitempty"`
-	Connectivity int           `json:"connectivity,omitempty"`
-	RatioValue   float64       `json:"ratio_value,omitempty"`
-	Stages       *igpart.Stage `json:"stages,omitempty"`
+// maxBatchJobs bounds one /v1/batches request; beyond this the client
+// should split the batch (the limit exists to bound journal write
+// bursts and the streamed response's lifetime, not memory).
+const maxBatchJobs = 256
+
+// Errors the handlers and modes map onto statuses (see fail).
+var (
+	// errTransientIO marks a netlist read that failed for reasons the
+	// caller can retry, as opposed to a malformed request.
+	errTransientIO = errors.New("transient read error loading netlist")
+	// errJournal marks a coordinator submission its journal could not
+	// record: the job was not accepted.
+	errJournal = errors.New("journal write failed")
+	// errBatchIntake marks a batch the coordinator stopped accepting
+	// part-way; the accepted prefix keeps running.
+	errBatchIntake = errors.New("batch intake failed")
+)
+
+// fail answers err with its status: the one error→status table.
+// Anything unclassified is the request's fault.
+func fail(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	switch {
+	case errors.Is(err, service.ErrQueueFull):
+		w.Header().Set("Retry-After", "1")
+		status = http.StatusTooManyRequests
+	case errors.Is(err, errTransientIO):
+		w.Header().Set("Retry-After", "1")
+		status = http.StatusServiceUnavailable
+	case errors.Is(err, jobs.ErrShutdown), errors.Is(err, errBatchIntake):
+		status = http.StatusServiceUnavailable
+	case errors.Is(err, jobs.ErrUnknownBase):
+		status = http.StatusNotFound
+	case errors.Is(err, jobs.ErrNotWarmStartable):
+		status = http.StatusConflict
+	case errors.Is(err, errJournal):
+		status = http.StatusInternalServerError
+	case cluster.IsNodeError(err):
+		status = http.StatusBadGateway
+	}
+	httpError(w, status, err.Error())
 }
 
-func snapshotJSON(snap service.Snapshot) jobJSON {
-	j := jobJSON{
-		ID:        snap.ID,
-		State:     string(snap.State),
-		Cached:    snap.Cached,
-		Submitted: snap.Submitted,
+// decode parses a JSON request body into v under the size cap,
+// rejecting unknown fields. On failure it has answered (413 or 400).
+func (s *server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.maxBody)
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+	default:
+		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 	}
-	if snap.Err != nil {
-		j.Error = snap.Err.Error()
-		if pe, ok := fault.AsPanic(snap.Err); ok {
-			j.Stack = string(pe.Stack)
-		}
-	}
-	if !snap.Started.IsZero() {
-		t := snap.Started
-		j.Started = &t
-	}
-	if !snap.Finished.IsZero() {
-		t := snap.Finished
-		j.Finished = &t
-	}
-	if res := snap.Result; res != nil {
-		stages := res.Stages
-		sides := make([]int, len(res.Sides))
-		for i, s := range res.Sides {
-			sides[i] = int(s)
-		}
-		j.Result = &resultJSON{
-			Algo:         res.Algo,
-			CutNets:      res.Metrics.CutNets,
-			SizeU:        res.Metrics.SizeU,
-			SizeW:        res.Metrics.SizeW,
-			RatioCut:     res.Metrics.RatioCut,
-			Lambda2:      res.Lambda2,
-			BestRank:     res.BestRank,
-			Levels:       res.Levels,
-			CoarsestNets: res.CoarsestNets,
-			Winner:       res.Winner,
-			Warm:         res.Warm,
-			TouchedNets:  res.TouchedNets,
-			Sides:        sides,
-			K:            res.K,
-			Cap:          res.Cap,
-			Parts:        res.Parts,
-			PartSizes:    res.PartSizes,
-			SpanningNets: res.SpanningNets,
-			Connectivity: res.Connectivity,
-			RatioValue:   res.RatioValue,
-			Stages:       &stages,
-		}
-	}
-	return j
+	return false
 }
 
-// errTransientIO marks a netlist read that failed for reasons the
-// caller can retry (as opposed to a malformed request); handleSubmit
-// maps it to 503.
-var errTransientIO = errors.New("transient read error loading netlist")
-
-// loadNetlist resolves the submission's netlist source.
-func (s *server) loadNetlist(req *submitRequest) (*igpart.Netlist, error) {
-	return loadNetlist(req, s.cfg.dataDir, s.cfg.inj)
-}
-
-// loadNetlist is shared between the single-node server and the cluster
-// coordinator (which inlines the netlist before forwarding, so the
-// backends need no shared filesystem).
+// loadNetlist resolves a submission's netlist source. The coordinator
+// loads it too, then inlines it before forwarding, so backends need no
+// shared filesystem.
 func loadNetlist(req *submitRequest, dataDir string, inj *fault.Injector) (*igpart.Netlist, error) {
 	if inj.Active(fault.IOReadErr) {
 		return nil, errTransientIO
@@ -262,134 +265,63 @@ func loadNetlist(req *submitRequest, dataDir string, inj *fault.Injector) (*igpa
 }
 
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.maxBody)
 	var req submitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !s.decode(w, r, &req) {
 		return
 	}
-	h, err := s.loadNetlist(&req)
-	if errors.Is(err, errTransientIO) {
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	}
+	h, err := loadNetlist(&req, s.cfg.dataDir, s.cfg.inj)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		fail(w, err)
 		return
 	}
-	job, err := s.engine.Submit(service.Request{
-		Netlist: h,
-		Options: service.Options{
-			Algo:            req.Algo,
-			Scheme:          req.Scheme,
-			Threshold:       req.Threshold,
-			Seed:            req.Seed,
-			BlockSize:       req.BlockSize,
-			Parallelism:     req.Parallelism,
-			Levels:          req.Levels,
-			CoarseningRatio: req.CoarseningRatio,
-			K:               req.K,
-			Eps:             req.Eps,
-			Fix:             req.Fix,
-			Budget:          time.Duration(req.BudgetMS) * time.Millisecond,
-			Accept:          req.Accept,
-			Timeout:         time.Duration(req.TimeoutMS) * time.Millisecond,
-		},
-	})
-	switch {
-	case errors.Is(err, service.ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, err.Error())
-		return
-	case errors.Is(err, service.ErrShutdown):
-		httpError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	case errors.Is(err, service.ErrBadRequest):
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	case err != nil:
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	w.Header().Set("Location", "/v1/jobs/"+job.ID())
-	writeJSON(w, http.StatusAccepted, snapshotJSON(job.Snapshot()))
+	j, err := s.leader().submit(&req, h)
+	acceptJob(w, j, err)
 }
 
-// handlePatch submits an ECO delta against a finished job. The engine
-// warm-starts from the base result's cached net ordering; the response
+// handlePatch submits an ECO delta against a finished job; the answer
 // is a brand-new job (202) polled like any other.
 func (s *server) handlePatch(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.maxBody)
-	var req deltaRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	var body json.RawMessage
+	if !s.decode(w, r, &body) {
 		return
 	}
-	if req.Delta == nil {
-		httpError(w, http.StatusBadRequest, "request carries no delta")
+	j, err := s.leader().submitDelta(r.Context(), r.PathValue("id"), body)
+	acceptJob(w, j, err)
+}
+
+// acceptJob answers a submission: 202 with the new job and its
+// Location, or the error's status.
+func acceptJob(w http.ResponseWriter, j job, err error) {
+	if err != nil {
+		fail(w, err)
 		return
 	}
-	job, err := s.engine.SubmitDelta(r.PathValue("id"), *req.Delta,
-		time.Duration(req.TimeoutMS)*time.Millisecond)
-	switch {
-	case errors.Is(err, service.ErrUnknownBase):
-		httpError(w, http.StatusNotFound, err.Error())
-		return
-	case errors.Is(err, service.ErrNotWarmStartable):
-		httpError(w, http.StatusConflict, err.Error())
-		return
-	case errors.Is(err, service.ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, err.Error())
-		return
-	case errors.Is(err, service.ErrShutdown):
-		httpError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	case err != nil:
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	w.Header().Set("Location", "/v1/jobs/"+job.ID())
-	writeJSON(w, http.StatusAccepted, snapshotJSON(job.Snapshot()))
+	w.Header().Set("Location", "/v1/jobs/"+j.ID())
+	writeJSON(w, http.StatusAccepted, j.view())
 }
 
 func (s *server) handleGet(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.engine.Get(r.PathValue("id"))
+	j, ok := s.leader().get(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, "unknown job")
 		return
 	}
-	if !s.cfg.poll.wait(w, r, job.Done()) {
+	if !s.cfg.poll.wait(w, r, j.Done()) {
 		return
 	}
-	writeJSON(w, http.StatusOK, snapshotJSON(job.Snapshot()))
+	writeJSON(w, http.StatusOK, j.view())
 }
 
 func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !s.engine.Cancel(id) {
+	// Resolve the job once and cancel through it: a second lookup after
+	// the cancel could miss if MaxFinished pruning evicted it between.
+	j, ok := s.leader().get(r.PathValue("id"))
+	if !ok {
 		httpError(w, http.StatusNotFound, "unknown job")
 		return
 	}
-	job, _ := s.engine.Get(id)
-	writeJSON(w, http.StatusOK, snapshotJSON(job.Snapshot()))
+	j.Cancel()
+	writeJSON(w, http.StatusOK, j.view())
 }
 
 // handleLive is the liveness probe: the process is up and serving, say
@@ -397,38 +329,157 @@ func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // its queue for no gain. (/healthz is an alias so pre-split monitoring
 // keeps working.)
 func (s *server) handleLive(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// healthJSON is the /readyz payload.
-type healthJSON struct {
-	Status      string   `json:"status"`
-	Reasons     []string `json:"reasons,omitempty"`
-	QueueDepth  int      `json:"queue_depth"`
-	QueueCap    int      `json:"queue_cap"`
-	PanicStreak int      `json:"panic_streak,omitempty"`
+	writeJSON(w, http.StatusOK, s.mode().live())
 }
 
 // handleReady is the readiness probe: 503 tells the load balancer to
-// route new work elsewhere while the engine is backlogged, repeatedly
-// panicking, or draining — conditions that self-heal without a restart.
-func (s *server) handleReady(w http.ResponseWriter, _ *http.Request) {
-	hl := s.engine.Health()
-	status := http.StatusOK
-	if !hl.Ready {
-		status = http.StatusServiceUnavailable
-	}
-	writeJSON(w, status, healthJSON{
-		Status:      hl.Status,
-		Reasons:     hl.Reasons,
-		QueueDepth:  hl.QueueDepth,
-		QueueCap:    hl.QueueCap,
-		PanicStreak: hl.PanicStreak,
-	})
+// route new work elsewhere while the mode cannot take it.
+func (s *server) handleReady(w http.ResponseWriter, r *http.Request) {
+	code, v := s.mode().ready(r.Context())
+	writeJSON(w, code, v)
 }
 
-func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.engine.Metrics().Snapshot())
+func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.leader().metrics(r.Context()))
+}
+
+// batchEvent is one NDJSON line of the streamed batch response. The
+// first line is event "accepted" (job IDs in submission order); then
+// one "job" event per completion as it happens, carrying the job's obs
+// span (wall time from acceptance to completion, attempt/resubmit
+// counters); finally one "batch" summary event.
+type batchEvent struct {
+	Event string `json:"event"`
+	Batch string `json:"batch,omitempty"`
+	// Accepted event: the job IDs.
+	Jobs []string `json:"jobs,omitempty"`
+	// Job event: the completed job's snapshot fields.
+	ID        string          `json:"id,omitempty"`
+	State     string          `json:"state,omitempty"`
+	Backend   string          `json:"backend,omitempty"`
+	Attempts  int             `json:"attempts,omitempty"`
+	Resubmits int             `json:"resubmits,omitempty"`
+	Cached    bool            `json:"cached,omitempty"`
+	Error     string          `json:"error,omitempty"`
+	Result    json.RawMessage `json:"result,omitempty"`
+	// Span is the obs stage for this job (or, on the summary event, the
+	// whole batch): name, wall time, counters.
+	Span *obs.Stage `json:"span,omitempty"`
+	// Batch summary event tallies.
+	Done   int `json:"done,omitempty"`
+	Failed int `json:"failed,omitempty"`
+}
+
+func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	var req batchRequest
+	if !s.decode(w, r, &req) {
+		return
+	}
+	if len(req.Jobs) == 0 {
+		httpError(w, http.StatusBadRequest, "batch carries no jobs")
+		return
+	}
+	if len(req.Jobs) > maxBatchJobs {
+		httpError(w, http.StatusBadRequest,
+			fmt.Sprintf("batch of %d jobs exceeds the %d-job limit", len(req.Jobs), maxBatchJobs))
+		return
+	}
+	// Resolve every netlist before accepting anything: a batch is
+	// all-or-nothing at intake, so a typo in job 17 cannot strand 16
+	// journaled jobs the client thinks were rejected.
+	hs := make([]*igpart.Netlist, len(req.Jobs))
+	for i := range req.Jobs {
+		h, err := loadNetlist(&req.Jobs[i], s.cfg.dataDir, s.cfg.inj)
+		if err != nil {
+			fail(w, fmt.Errorf("job %d: %w", i, err))
+			return
+		}
+		hs[i] = h
+	}
+	batch, err := s.leader().(batcher).submitBatch(req.Jobs, hs)
+	if err != nil {
+		fail(w, err)
+		return
+	}
+
+	// From here on the response is a chunked NDJSON stream; errors can
+	// only be conveyed in-band.
+	tr := obs.NewTrace("batch:" + batch.ID)
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusAccepted)
+	flusher, _ := w.(http.Flusher)
+	rc := http.NewResponseController(w)
+	emit := func(ev batchEvent) bool {
+		// The server's WriteTimeout (when set) is absolute from request
+		// start; push the deadline out at every event so a long batch is
+		// bounded by inactivity, not total stream lifetime. Best-effort:
+		// not every ResponseWriter supports it.
+		rc.SetWriteDeadline(time.Now().Add(time.Minute))
+		if err := json.NewEncoder(w).Encode(ev); err != nil {
+			return false
+		}
+		if flusher != nil {
+			flusher.Flush()
+		}
+		return true
+	}
+	ids := make([]string, len(batch.Jobs))
+	spans := make([]obs.Recorder, len(batch.Jobs))
+	for i, j := range batch.Jobs {
+		ids[i] = j.ID()
+		spans[i] = tr.StartSpan("job:" + j.ID())
+	}
+	if !emit(batchEvent{Event: "accepted", Batch: batch.ID, Jobs: ids}) {
+		return
+	}
+
+	// Fan the per-job completions into one stream, in completion order.
+	completions := make(chan int, len(batch.Jobs))
+	for i, j := range batch.Jobs {
+		go func() {
+			select {
+			case <-j.Done():
+				completions <- i
+			case <-r.Context().Done():
+			}
+		}()
+	}
+	done, failed := 0, 0
+	for range batch.Jobs {
+		var i int
+		select {
+		case i = <-completions:
+		case <-r.Context().Done():
+			return // client went away; the jobs keep running
+		}
+		snap := batch.Jobs[i].Snapshot()
+		sp := spans[i]
+		sp.Count("attempts", int64(snap.Attempts))
+		sp.Count("resubmits", int64(snap.Resubmits))
+		sp.End()
+		stage := tr.Report().Children[i]
+		if snap.State == cluster.StateDone {
+			done++
+		} else {
+			failed++
+		}
+		if !emit(batchEvent{
+			Event:     "job",
+			ID:        snap.ID,
+			State:     snap.State,
+			Backend:   snap.Backend,
+			Attempts:  snap.Attempts,
+			Resubmits: snap.Resubmits,
+			Cached:    snap.Cached,
+			Error:     snap.Err,
+			Result:    snap.Result,
+			Span:      &stage,
+		}) {
+			return
+		}
+	}
+	root := tr.Finish()
+	emit(batchEvent{Event: "batch", Batch: batch.ID, Done: done, Failed: failed, Span: &root})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

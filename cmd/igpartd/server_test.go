@@ -22,7 +22,7 @@ func testServer(t *testing.T, cfg service.Config, scfg serverConfig) (*httptest.
 		cfg.Metrics = new(obs.Registry)
 	}
 	engine := service.New(cfg)
-	ts := httptest.NewServer(newServer(engine, scfg))
+	ts := httptest.NewServer(newServer(engineMode{engine}, scfg))
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

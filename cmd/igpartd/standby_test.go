@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -18,7 +19,7 @@ func TestStandbyFacade(t *testing.T) {
 		Path:  filepath.Join(t.TempDir(), "journal.jsonl"),
 		Owner: "test-standby",
 	})
-	srv := newStandbyServer(stb)
+	srv := newServer(standbyMode{stb}, serverConfig{})
 
 	for _, path := range []string{"/healthz", "/livez"} {
 		rr := httptest.NewRecorder()
@@ -65,27 +66,25 @@ func TestStandbyFacade(t *testing.T) {
 	}
 }
 
-// switchHandler promotes the façade to the full API in place — the
-// listener never restarts, only the handler behind it changes.
+// set promotes a standby to a leader in place — the listener never
+// restarts, only the mode behind the route table changes.
 func TestSwitchHandlerPromotes(t *testing.T) {
 	stb := cluster.NewStandby(cluster.StandbyConfig{
 		Path:  filepath.Join(t.TempDir(), "journal.jsonl"),
 		Owner: "test-standby",
 	})
-	sw := &switchHandler{}
-	sw.Set(newStandbyServer(stb))
+	srv := newServer(standbyMode{stb}, serverConfig{})
 
 	rr := httptest.NewRecorder()
-	sw.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/jobs", nil))
+	srv.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/jobs", nil))
 	if rr.Code != http.StatusServiceUnavailable {
 		t.Fatalf("pre-takeover submit = %d, want 503", rr.Code)
 	}
 
-	sw.Set(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusAccepted)
-	}))
+	srv.set(newStubMode())
+	body, _ := bookshelfPayload(t, "Prim1", 0.1, nil)
 	rr = httptest.NewRecorder()
-	sw.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/jobs", nil))
+	srv.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
 	if rr.Code != http.StatusAccepted {
 		t.Fatalf("post-takeover submit = %d, want the promoted handler", rr.Code)
 	}

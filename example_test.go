@@ -53,9 +53,9 @@ func ExampleEvaluate() {
 	// Output: 3:3 cut=1 ratio=0.1111
 }
 
-func ExampleMultiway() {
+func ExampleKWay() {
 	h := twoTriangles()
-	res, err := igpart.Multiway(h, 2)
+	res, err := igpart.KWay(h, 2, igpart.KWayOptions{Eps: igpart.EpsUnbounded})
 	if err != nil {
 		panic(err)
 	}

@@ -21,7 +21,7 @@ func main() {
 	fmt.Printf("design: %d modules, %d nets\n", h.NumModules(), h.NumNets())
 
 	for _, k := range []int{2, 4, 8} {
-		res, err := igpart.Multiway(h, k)
+		res, err := igpart.KWay(h, k, igpart.KWayOptions{Eps: igpart.EpsUnbounded})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -33,7 +33,7 @@ func main() {
 	}
 
 	// Compare the 4-way result against a naive index-sliced assignment.
-	res, err := igpart.Multiway(h, 4)
+	res, err := igpart.KWay(h, 4, igpart.KWayOptions{Eps: igpart.EpsUnbounded})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -40,7 +40,7 @@ import (
 	"time"
 
 	"igpart/internal/anneal"
-	"igpart/internal/cluster"
+	"igpart/internal/condense"
 	"igpart/internal/core"
 	"igpart/internal/eigen"
 	"igpart/internal/fault"
@@ -593,7 +593,7 @@ func Refined(h *Netlist) (Result, error) {
 // Condensed runs the cluster-condensation pipeline: coarsen by heavy
 // matching, IG-Match on the coarse circuit, project, FM-polish.
 func Condensed(h *Netlist) (Result, error) {
-	res, err := cluster.Partition(h, cluster.Options{})
+	res, err := condense.Partition(h, condense.Options{})
 	if err != nil {
 		return Result{}, err
 	}
@@ -653,13 +653,6 @@ func CompareSparsity(h *Netlist) Sparsity { return netmodel.CompareSparsity(h) }
 // MultiwayResult is a k-way partition with its quality metrics (spanning
 // nets, connectivity, multiway ratio value).
 type MultiwayResult = multiway.Result
-
-// Multiway produces a k-way partition of h by recursive IG-Match
-// bisection with no imbalance budget — the legacy behavior. Use KWay for
-// the balanced (k, ε, fixed-module) contract.
-func Multiway(h *Netlist, k int) (MultiwayResult, error) {
-	return multiway.Partition(h, multiway.Options{K: k, Eps: multiway.Unbounded})
-}
 
 // EpsUnbounded disables the KWay imbalance budget: parts may be any size
 // above one module.

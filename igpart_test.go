@@ -142,7 +142,7 @@ func TestFacadeSparsity(t *testing.T) {
 
 func TestFacadeMultiway(t *testing.T) {
 	h := testCircuit(t)
-	res, err := Multiway(h, 4)
+	res, err := KWay(h, 4, KWayOptions{Eps: EpsUnbounded})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,51 +173,30 @@ func (c *client) do(ctx context.Context, method, path string, body []byte) (int,
 	return resp.StatusCode, out, nil
 }
 
-// submit POSTs a job body to the backend and returns the backend's job
-// ID. A 429 (backpressure) is a node-level condition — the node is
-// alive but saturated, so the job should try the next ring backend.
-func (c *client) submit(ctx context.Context, body []byte) (string, error) {
-	status, out, err := c.do(ctx, http.MethodPost, "/v1/jobs", body)
-	if err != nil {
-		return "", err
-	}
-	if status == http.StatusTooManyRequests {
-		return "", &nodeError{backend: c.b.Name, err: errors.New("queue full (429)")}
-	}
-	if status != http.StatusAccepted {
-		return "", fmt.Errorf("cluster: backend %s rejected job: %d: %s", c.b.Name, status, strings.TrimSpace(string(out)))
+// send submits a job (POST /v1/jobs) or an ECO delta (PATCH
+// /v1/jobs/{id}) and returns the backend's new job ID, plus the HTTP
+// status so the coordinator can classify a delta's 404/409. A 429
+// (backpressure) is a node-level condition — the node is alive but
+// saturated, so a job should try the next ring backend. A delta has no
+// such retry: the warm-start cache entry lives only on the node that
+// solved its base, so a node failure fails the delta (the caller
+// re-PATCHes).
+func (c *client) send(ctx context.Context, method, path string, body []byte) (string, int, error) {
+	status, out, err := c.do(ctx, method, path, body)
+	switch {
+	case err != nil:
+		return "", status, err
+	case status == http.StatusTooManyRequests:
+		return "", status, &nodeError{backend: c.b.Name, err: errors.New("queue full (429)")}
+	case status != http.StatusAccepted:
+		return "", status, fmt.Errorf("cluster: backend %s rejected %s %s: %d: %s",
+			c.b.Name, method, path, status, strings.TrimSpace(string(out)))
 	}
 	var bj backendJob
 	if err := json.Unmarshal(out, &bj); err != nil || bj.ID == "" {
-		return "", &nodeError{backend: c.b.Name, err: fmt.Errorf("unparseable submit response %q", out)}
+		return "", status, &nodeError{backend: c.b.Name, err: fmt.Errorf("unparseable %s response %q", method, out)}
 	}
-	return bj.ID, nil
-}
-
-// patch submits an ECO delta against a backend job and returns the new
-// backend job ID. Unlike submit there is no failover retry semantics
-// at the call site: the warm-start cache entry lives only on the node
-// that solved the base job, so the delta is pinned there and a node
-// failure fails the delta (the caller re-PATCHes). The HTTP status is
-// returned so the coordinator can classify 404/409 rejections.
-func (c *client) patch(ctx context.Context, id string, body []byte) (string, int, error) {
-	status, out, err := c.do(ctx, http.MethodPatch, "/v1/jobs/"+id, body)
-	if err != nil {
-		return "", status, err
-	}
-	switch status {
-	case http.StatusAccepted:
-		var bj backendJob
-		if err := json.Unmarshal(out, &bj); err != nil || bj.ID == "" {
-			return "", status, &nodeError{backend: c.b.Name, err: fmt.Errorf("unparseable patch response %q", out)}
-		}
-		return bj.ID, status, nil
-	case http.StatusTooManyRequests:
-		return "", status, &nodeError{backend: c.b.Name, err: errors.New("queue full (429)")}
-	default:
-		return "", status, fmt.Errorf("cluster: backend %s rejected delta: %d: %s",
-			c.b.Name, status, strings.TrimSpace(string(out)))
-	}
+	return bj.ID, status, nil
 }
 
 // poll fetches the backend's view of a job, asking it to hold the

@@ -1,3 +1,9 @@
+// Package cluster is igpartd's fleet tier: a coordinator that routes
+// partitioning jobs across backend igpartd nodes by consistent hashing
+// on the netlist's content address, fails work over when a backend
+// dies, journals accepted jobs durably, and keeps a warm standby ready
+// to take over its leadership lease. Its jobs follow the shared
+// lifecycle of internal/jobs.
 package cluster
 
 import (
@@ -6,44 +12,32 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"igpart/internal/fault"
+	"igpart/internal/jobs"
 	"igpart/internal/obs"
 )
 
-// The cluster job lifecycle mirrors the backend engine's: queued and
-// running are transient, the other three terminal. A cluster job is
-// "running" from first submission attempt onward — routing, failover
-// hops, and backoff all count as running time.
+// The cluster job lifecycle is internal/jobs', as strings for the
+// journal. A cluster job is "running" from first submission attempt
+// onward — routing, failover hops, and backoff all count as running
+// time.
 const (
-	StateQueued    = "queued"
-	StateRunning   = "running"
-	StateDone      = "done"
-	StateFailed    = "failed"
-	StateCancelled = "cancelled"
+	StateQueued    = string(jobs.Queued)
+	StateRunning   = string(jobs.Running)
+	StateDone      = string(jobs.Done)
+	StateFailed    = string(jobs.Failed)
+	StateCancelled = string(jobs.Cancelled)
 )
 
-// terminalState reports whether a state string is final.
-func terminalState(s string) bool {
-	return s == StateDone || s == StateFailed || s == StateCancelled
-}
-
-// Sentinel errors of the coordinator.
+// The coordinator's sentinels are the lifecycle ones of internal/jobs.
 var (
-	// ErrShutdown rejects submissions after Shutdown began.
-	ErrShutdown = errors.New("cluster: coordinator shutting down")
-	// ErrCancelled is the cancel cause of a user-requested Cancel.
-	ErrCancelled = errors.New("cluster: job cancelled")
-	// ErrUnknownBase rejects a delta naming a cluster job the
-	// coordinator does not track.
-	ErrUnknownBase = errors.New("cluster: unknown base job")
-	// ErrNotWarmStartable rejects a delta whose base job cannot seed a
-	// warm start on its backend: not done, or the backend lost it.
-	ErrNotWarmStartable = errors.New("cluster: base job not warm-startable")
+	ErrShutdown         = jobs.ErrShutdown
+	ErrCancelled        = jobs.ErrCancelled
+	ErrUnknownBase      = jobs.ErrUnknownBase
+	ErrNotWarmStartable = jobs.ErrNotWarmStartable
 	// errAborted is the internal cancel cause of a crash-style abort
 	// (drain deadline expired): runners exit without journaling a
 	// completion, leaving their jobs for the next boot's replay.
@@ -188,23 +182,21 @@ type Snapshot struct {
 }
 
 // Job is one routed partitioning request tracked by the coordinator.
+// Its Done channel stays open across a crash-style abort — such jobs
+// complete on the next boot. Cancel stops its runner at the next step,
+// which best-effort cancels the backend copy.
 type Job struct {
-	id    string
+	*jobs.Job
 	batch string
 	key   string
 	body  json.RawMessage
-
-	ctx    context.Context
-	cancel context.CancelCauseFunc
-	done   chan struct{}
 
 	// ephemeral jobs (ECO deltas) are never journaled: their warm-start
 	// state is node-local and cannot be re-pinned by a fresh boot, so
 	// finish() skips the completion record too.
 	ephemeral bool
 
-	mu         sync.Mutex
-	state      string
+	// Routing and outcome, guarded by the job lock.
 	backend    string
 	backendJob string
 	attempts   int
@@ -212,29 +204,16 @@ type Job struct {
 	cached     bool
 	errMsg     string
 	result     json.RawMessage
-	submitted  time.Time
-	finished   time.Time
 }
-
-// ID returns the coordinator-assigned job identifier.
-func (j *Job) ID() string { return j.id }
-
-// Done is closed when the job reaches a terminal state. It stays open
-// across a crash-style abort — such jobs complete on the next boot.
-func (j *Job) Done() <-chan struct{} { return j.done }
-
-// Cancel requests cancellation of the job: its runner stops at the
-// next step and best-effort cancels the backend copy.
-func (j *Job) Cancel() { j.cancel(ErrCancelled) }
 
 // Snapshot returns the job's current externally visible state.
 func (j *Job) Snapshot() Snapshot {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.Lock()
+	defer j.Unlock()
 	return Snapshot{
-		ID:         j.id,
+		ID:         j.ID(),
 		Batch:      j.batch,
-		State:      j.state,
+		State:      string(j.State),
 		Backend:    j.backend,
 		BackendJob: j.backendJob,
 		Attempts:   j.attempts,
@@ -242,8 +221,8 @@ func (j *Job) Snapshot() Snapshot {
 		Cached:     j.cached,
 		Err:        j.errMsg,
 		Result:     j.result,
-		Submitted:  j.submitted,
-		Finished:   j.finished,
+		Submitted:  j.Submitted,
+		Finished:   j.Finished,
 	}
 }
 
@@ -274,8 +253,7 @@ type Coordinator struct {
 	clients  map[string]*client
 	removed  map[string]time.Time // name → removal time, for the flap guard
 
-	ctx       context.Context
-	abort     context.CancelCauseFunc
+	jobs      *jobs.Table[*Job]
 	wg        sync.WaitGroup // job runners
 	probeWG   sync.WaitGroup
 	probeStop chan struct{}
@@ -283,12 +261,6 @@ type Coordinator struct {
 	leaseStop chan struct{}
 	stopOnce  sync.Once
 	sem       chan struct{} // MaxInflight dispatch slots
-
-	mu       sync.Mutex
-	closed   bool
-	nextID   int64
-	jobs     map[string]*Job
-	finished []string
 }
 
 // New builds a coordinator over the configured backends and starts its
@@ -304,21 +276,20 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx, abort := context.WithCancelCause(context.Background())
 	c := &Coordinator{
-		cfg:       cfg,
-		reg:       cfg.Metrics,
-		ring:      ring,
-		backends:  append([]Backend(nil), cfg.Backends...),
-		clients:   make(map[string]*client, len(cfg.Backends)),
-		removed:   make(map[string]time.Time),
-		journal:   cfg.Journal,
-		ctx:       ctx,
-		abort:     abort,
+		cfg:      cfg,
+		reg:      cfg.Metrics,
+		ring:     ring,
+		backends: append([]Backend(nil), cfg.Backends...),
+		clients:  make(map[string]*client, len(cfg.Backends)),
+		removed:  make(map[string]time.Time),
+		journal:  cfg.Journal,
+		jobs: jobs.NewTable[*Job](jobs.Config{
+			Namespace: "cluster", IDPrefix: "cjob-", MaxFinished: cfg.MaxFinished, Metrics: cfg.Metrics,
+		}),
 		probeStop: make(chan struct{}),
 		leaseStop: make(chan struct{}),
 		sem:       make(chan struct{}, cfg.MaxInflight),
-		jobs:      make(map[string]*Job),
 	}
 	for _, b := range cfg.Backends {
 		c.clients[b.Name] = newClient(b, cfg.HTTPClient, cfg.RequestTimeout, cfg.ProbeTimeout)
@@ -409,10 +380,8 @@ func (c *Coordinator) renewLease() {
 // unfinished set is left for the successor's replay. Used when a
 // standby fences us out and by the coord.crash chaos point.
 func (c *Coordinator) depose() {
-	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
-	c.abort(errAborted)
+	c.jobs.Close(nil)
+	c.jobs.Abort(errAborted)
 }
 
 // prober re-probes every backend's /readyz on a fixed cadence so dead
@@ -437,23 +406,12 @@ func (c *Coordinator) prober() {
 // client.probe), so one hung backend delays the round by at most that
 // timeout instead of the full RequestTimeout.
 func (c *Coordinator) probeAll() {
-	c.topoMu.RLock()
-	clients := make([]*client, 0, len(c.clients))
-	for _, cl := range c.clients {
-		clients = append(clients, cl)
-	}
-	c.topoMu.RUnlock()
-	var wg sync.WaitGroup
-	for _, cl := range clients {
-		wg.Add(1)
-		go func(cl *client) {
-			defer wg.Done()
-			if !cl.probe(c.ctx) {
-				c.reg.Counter("cluster.probe.failures").Add(1)
-			}
-		}(cl)
-	}
-	wg.Wait()
+	_, clients := c.fleet()
+	parallel(len(clients), func(i int) {
+		if !clients[i].probe(c.jobs.Context()) {
+			c.reg.Counter("cluster.probe.failures").Add(1)
+		}
+	})
 	healthy := 0
 	for _, cl := range clients {
 		if cl.Healthy() {
@@ -478,14 +436,11 @@ func (c *Coordinator) SubmitBatch(keys []string, bodies []json.RawMessage) (*Bat
 	if len(keys) != len(bodies) {
 		return nil, fmt.Errorf("cluster: %d keys for %d bodies", len(keys), len(bodies))
 	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrShutdown
+	id, err := c.jobs.NextID("batch-")
+	if err != nil {
+		return nil, err
 	}
-	c.nextID++
-	batch := &Batch{ID: fmt.Sprintf("batch-%d", c.nextID)}
-	c.mu.Unlock()
+	batch := &Batch{ID: id}
 	for i := range keys {
 		j, err := c.submit(batch.ID, keys[i], bodies[i])
 		if err != nil {
@@ -500,14 +455,10 @@ func (c *Coordinator) SubmitBatch(keys []string, bodies []json.RawMessage) (*Bat
 }
 
 func (c *Coordinator) submit(batch, key string, body json.RawMessage) (*Job, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrShutdown
+	id, err := c.jobs.NextID("cjob-")
+	if err != nil {
+		return nil, err
 	}
-	c.nextID++
-	id := fmt.Sprintf("cjob-%d", c.nextID)
-	c.mu.Unlock()
 	if err := c.journal.Accept(id, batch, key, body); err != nil {
 		// An unjournaled acceptance must not be acknowledged: the whole
 		// point of the journal is that accepted == durable.
@@ -535,13 +486,10 @@ func (c *Coordinator) submit(batch, key string, body json.RawMessage) (*Job, err
 // ephemeral — never journaled — because a restarted coordinator could
 // not re-pin them.
 func (c *Coordinator) SubmitDelta(ctx context.Context, baseID string, body json.RawMessage) (*Job, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if c.jobs.Closed() {
 		return nil, ErrShutdown
 	}
-	base, ok := c.jobs[baseID]
-	c.mu.Unlock()
+	base, ok := c.jobs.Get(baseID)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownBase, baseID)
 	}
@@ -555,7 +503,7 @@ func (c *Coordinator) SubmitDelta(ctx context.Context, baseID string, body json.
 	if !ok {
 		return nil, fmt.Errorf("%w: backend %s left the fleet", ErrNotWarmStartable, snap.Backend)
 	}
-	bid, status, err := cl.patch(ctx, snap.BackendJob, body)
+	bid, status, err := cl.send(ctx, http.MethodPatch, "/v1/jobs/"+snap.BackendJob, body)
 	switch {
 	case err != nil && (status == http.StatusNotFound || status == http.StatusConflict):
 		// The backend no longer holds (or cannot warm-start from) the
@@ -565,92 +513,56 @@ func (c *Coordinator) SubmitDelta(ctx context.Context, baseID string, body json.
 		return nil, err
 	}
 
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	j := &Job{
+		Job:        c.jobs.NewJob("", jobs.Running, 0),
+		key:        snap.ID, // lineage, not a ring key: deltas never route
+		body:       body,
+		ephemeral:  true,
+		backend:    snap.Backend,
+		backendJob: bid,
+		attempts:   1,
+	}
+	if err := c.jobs.Add(j, nil); err != nil {
 		// Accepted on the backend but the coordinator is going away; the
 		// backend still runs it, we just cannot track it.
-		return nil, ErrShutdown
+		return nil, err
 	}
-	c.nextID++
-	id := fmt.Sprintf("cjob-%d", c.nextID)
-	c.mu.Unlock()
-
-	jctx, cancel := context.WithCancelCause(c.ctx)
-	j := &Job{
-		id:        id,
-		key:       snap.ID, // lineage, not a ring key: deltas never route
-		body:      body,
-		ephemeral: true,
-		ctx:       jctx,
-		cancel:    cancel,
-		done:      make(chan struct{}),
-		state:     StateRunning,
-		submitted: time.Now(),
-	}
-	j.backend = snap.Backend
-	j.backendJob = bid
-	j.attempts = 1
-	c.mu.Lock()
-	c.jobs[id] = j
-	c.pruneFinishedLocked()
-	c.mu.Unlock()
 	c.reg.Counter("cluster.deltas_submitted").Add(1)
-	c.wg.Add(1)
-	go c.runPinned(j, cl)
+	// Poll to terminal, no failover.
+	c.dispatch(j, func() {
+		if err := c.await(j, cl, bid); err != nil {
+			c.finish(j, jobs.Failed, nil, fmt.Errorf("cluster: pinned backend %s lost the delta job: %w", cl.b.Name, err))
+		}
+	})
 	return j, nil
 }
 
-// runPinned drives a delta job already accepted by its pinned backend:
-// poll to terminal, no failover.
-func (c *Coordinator) runPinned(j *Job, cl *client) {
-	defer c.wg.Done()
-	select {
-	case c.sem <- struct{}{}:
-	case <-j.ctx.Done():
-		c.finishAborted(j)
-		return
-	}
-	defer func() {
+// dispatch runs drive for j on its own goroutine once one of the
+// MaxInflight slots is free; a job cancelled while waiting for a slot
+// is finished without running.
+func (c *Coordinator) dispatch(j *Job, drive func()) {
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		select {
+		case c.sem <- struct{}{}:
+		case <-j.Context().Done():
+			c.finishAborted(j)
+			return
+		}
+		c.reg.Gauge("cluster.jobs_inflight").Set(float64(len(c.sem)))
+		drive()
 		<-c.sem
 		c.reg.Gauge("cluster.jobs_inflight").Set(float64(len(c.sem)))
 	}()
-	c.reg.Gauge("cluster.jobs_inflight").Set(float64(len(c.sem)))
-
-	bj, err := c.pollUntilTerminal(j, cl, j.backendJob)
-	switch {
-	case err != nil && j.ctx.Err() != nil:
-		c.cancelBackend(cl, j.backendJob)
-		c.finishAborted(j)
-	case err != nil:
-		c.finish(j, StateFailed, nil,
-			fmt.Errorf("cluster: pinned backend %s lost the delta job: %w", cl.b.Name, err))
-	default:
-		c.finish(j, bj.State, bj, nil)
-	}
 }
 
 // start registers and dispatches a job (newly accepted or replayed).
 func (c *Coordinator) start(id, batch, key string, body json.RawMessage) *Job {
-	ctx, cancel := context.WithCancelCause(c.ctx)
-	j := &Job{
-		id:        id,
-		batch:     batch,
-		key:       key,
-		body:      body,
-		ctx:       ctx,
-		cancel:    cancel,
-		done:      make(chan struct{}),
-		state:     StateQueued,
-		submitted: time.Now(),
-	}
-	c.mu.Lock()
-	c.jobs[id] = j
-	c.pruneFinishedLocked()
-	c.mu.Unlock()
+	j := &Job{Job: c.jobs.NewJob(id, jobs.Queued, 0), batch: batch, key: key, body: body}
+	c.jobs.Insert(j)
 	c.reg.Counter("cluster.jobs_submitted").Add(1)
-	c.wg.Add(1)
-	go c.run(j)
+	c.dispatch(j, func() { c.run(j) })
 	return j
 }
 
@@ -660,21 +572,7 @@ func (c *Coordinator) start(id, batch, key string, body json.RawMessage) *Job {
 // Completed jobs are NOT re-run — their completion records prove the
 // work was delivered. Returns the number of jobs resubmitted.
 func (c *Coordinator) Recover(recs []Record) int {
-	maxID := int64(0)
-	for _, r := range recs {
-		for _, id := range []string{r.Job, r.Batch} {
-			if i := strings.LastIndexByte(id, '-'); i >= 0 {
-				if n, err := strconv.ParseInt(id[i+1:], 10, 64); err == nil && n > maxID {
-					maxID = n
-				}
-			}
-		}
-	}
-	c.mu.Lock()
-	if c.nextID < maxID {
-		c.nextID = maxID
-	}
-	c.mu.Unlock()
+	c.jobs.Advance(highWaterID(recs))
 	unfinished := Unfinished(recs)
 	for _, r := range unfinished {
 		c.start(r.Job, r.Batch, r.Key, r.Body)
@@ -684,12 +582,7 @@ func (c *Coordinator) Recover(recs []Record) int {
 }
 
 // Get returns the job with the given ID.
-func (c *Coordinator) Get(id string) (*Job, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	return j, ok
-}
+func (c *Coordinator) Get(id string) (*Job, bool) { return c.jobs.Get(id) }
 
 // Cancel requests cancellation of a job: the runner stops at its next
 // step and best-effort cancels the backend copy. Reports whether the
@@ -708,39 +601,22 @@ func (c *Coordinator) Cancel(id string) bool {
 // in ring order with capped, jittered backoff — at most cfg.Attempts
 // submissions in total.
 func (c *Coordinator) run(j *Job) {
-	defer c.wg.Done()
-	select {
-	case c.sem <- struct{}{}:
-	case <-j.ctx.Done():
-		c.finishAborted(j)
-		return
-	}
-	defer func() {
-		<-c.sem
-		c.reg.Gauge("cluster.jobs_inflight").Set(float64(len(c.sem)))
-	}()
-	c.reg.Gauge("cluster.jobs_inflight").Set(float64(len(c.sem)))
-
 	order := c.Ring().Route(j.key)
-	// FNV-1a over the job ID: per-job deterministic jitter streams, the
-	// same scheme the backend engine uses for its solve retries.
-	seed := uint64(14695981039346656037)
-	for i := 0; i < len(j.id); i++ {
-		seed = (seed ^ uint64(j.id[i])) * 1099511628211
-	}
+	seed := jobs.JitterSeed(j.ID())
+	ctx := j.Context()
 	var lastErr error
 	budget := c.attemptBudget()
 	for attempt := 1; attempt <= budget; attempt++ {
-		if j.ctx.Err() != nil {
+		if ctx.Err() != nil {
 			c.finishAborted(j)
 			return
 		}
 		if attempt > 1 {
 			c.reg.Counter("cluster.failover.resubmits").Add(1)
-			j.mu.Lock()
+			j.Lock()
 			j.resubmits++
-			j.mu.Unlock()
-			if sleepCtx(j.ctx, fault.BackoffDelay(attempt-1, c.cfg.RetryBaseDelay, c.cfg.RetryMaxDelay, seed)) != nil {
+			j.Unlock()
+			if jobs.Sleep(ctx, fault.BackoffDelay(attempt-1, c.cfg.RetryBaseDelay, c.cfg.RetryMaxDelay, seed)) != nil {
 				c.finishAborted(j)
 				return
 			}
@@ -753,19 +629,19 @@ func (c *Coordinator) run(j *Job) {
 			cl = c.pick(order, attempt-1)
 		}
 		if cl == nil {
-			c.finish(j, StateFailed, nil, errors.New("cluster: no routable backend in the current fleet"))
+			c.finish(j, jobs.Failed, nil, errors.New("cluster: no routable backend in the current fleet"))
 			return
 		}
-		j.mu.Lock()
-		j.state = StateRunning
+		j.Start()
+		j.Lock()
 		j.backend = cl.b.Name
 		j.backendJob = ""
 		j.attempts = attempt
-		j.mu.Unlock()
+		j.Unlock()
 
-		bid, err := cl.submit(j.ctx, j.body)
+		bid, _, err := cl.send(ctx, http.MethodPost, "/v1/jobs", j.body)
 		if err != nil {
-			if j.ctx.Err() != nil {
+			if ctx.Err() != nil {
 				c.finishAborted(j)
 				return
 			}
@@ -774,31 +650,37 @@ func (c *Coordinator) run(j *Job) {
 				continue
 			}
 			// Permanent rejection (a 400): no backend would accept it.
-			c.finish(j, StateFailed, nil, err)
+			c.finish(j, jobs.Failed, nil, err)
 			return
 		}
-		j.mu.Lock()
+		j.Lock()
 		j.backendJob = bid
-		j.mu.Unlock()
-
-		bj, err := c.pollUntilTerminal(j, cl, bid)
-		switch {
-		case err != nil && j.ctx.Err() != nil:
-			// Cancelled (or aborted) mid-poll: pass the cancel on to the
-			// backend so it stops computing a result nobody wants.
-			c.cancelBackend(cl, bid)
-			c.finishAborted(j)
-			return
-		case err != nil:
-			lastErr = err
-			continue
-		default:
-			c.finish(j, bj.State, bj, nil)
+		j.Unlock()
+		if lastErr = c.await(j, cl, bid); lastErr == nil {
 			return
 		}
 	}
-	c.finish(j, StateFailed, nil,
+	c.finish(j, jobs.Failed, nil,
 		fmt.Errorf("cluster: no backend completed the job after %d attempts: %w", budget, lastErr))
+}
+
+// await polls the backend copy of j to a terminal state and finishes j
+// with it. A job cancelled (or aborted) mid-poll passes the cancel on
+// to the backend, so it stops computing a result nobody wants. When the
+// backend stops answering, await returns the poll error and leaves j to
+// the caller.
+func (c *Coordinator) await(j *Job, cl *client, bid string) error {
+	bj, err := c.pollUntilTerminal(j, cl, bid)
+	switch {
+	case err != nil && j.Context().Err() != nil:
+		c.cancelBackend(cl, bid)
+		c.finishAborted(j)
+	case err != nil:
+		return err
+	default:
+		c.finish(j, jobs.State(bj.State), bj, nil)
+	}
+	return nil
 }
 
 // pollErrLimit is how many consecutive poll failures declare the
@@ -816,15 +698,16 @@ const pollErrLimit = 3
 // followed by a RetryBaseDelay pause, so neither turns into a hot loop.
 // It returns a node-level error when the backend stops answering.
 func (c *Coordinator) pollUntilTerminal(j *Job, cl *client, bid string) (*backendJob, error) {
+	ctx := j.Context()
 	wait := c.cfg.RequestTimeout / 2
 	polls := c.reg.Counter("cluster.backend_polls")
 	consecutive := 0
 	for {
 		start := time.Now()
-		bj, err := cl.poll(j.ctx, bid, wait)
+		bj, err := cl.poll(ctx, bid, wait)
 		polls.Add(1)
 		if err != nil {
-			if j.ctx.Err() != nil {
+			if ctx.Err() != nil {
 				return nil, err
 			}
 			consecutive++
@@ -836,14 +719,14 @@ func (c *Coordinator) pollUntilTerminal(j *Job, cl *client, bid string) (*backen
 			}
 		} else {
 			consecutive = 0
-			if terminalState(bj.State) {
+			if jobs.State(bj.State).Terminal() {
 				return bj, nil
 			}
 			if time.Since(start) >= wait {
 				continue
 			}
 		}
-		if err := sleepCtx(j.ctx, c.cfg.RetryBaseDelay); err != nil {
+		if err := jobs.Sleep(ctx, c.cfg.RetryBaseDelay); err != nil {
 			return nil, err
 		}
 	}
@@ -884,47 +767,31 @@ func (c *Coordinator) cancelBackend(cl *client, bid string) {
 	cl.cancel(ctx, bid)
 }
 
-// finish freezes the job in a terminal state, journals the completion,
-// and counts the outcome.
-func (c *Coordinator) finish(j *Job, state string, bj *backendJob, err error) {
-	j.mu.Lock()
-	j.state = state
-	if bj != nil {
-		j.cached = bj.Cached
-		j.result = bj.Result
-		j.errMsg = bj.Error
-	}
-	if err != nil {
-		j.errMsg = err.Error()
-	}
-	j.finished = time.Now()
-	j.mu.Unlock()
-	if jerr := c.completeJournal(j, state); jerr != nil {
-		// A completion that could not be journaled means the job will be
-		// re-run on the next boot — wasteful (the backend cache usually
-		// absorbs it) but never wrong.
-		c.reg.Counter("cluster.journal.write_errors").Add(1)
-	}
-	switch state {
-	case StateDone:
-		c.reg.Counter("cluster.jobs_completed").Add(1)
-	case StateCancelled:
-		c.reg.Counter("cluster.jobs_cancelled").Add(1)
-	default:
-		c.reg.Counter("cluster.jobs_failed").Add(1)
-	}
-	c.recordFinished(j)
-	close(j.done)
-}
-
-// completeJournal writes the job's completion record; ephemeral jobs
-// (deltas) were never accepted in the journal, so completing them
-// would strand a done-without-accept record for nothing.
-func (c *Coordinator) completeJournal(j *Job, state string) error {
-	if j.ephemeral {
-		return nil
-	}
-	return c.journal.Complete(j.id, state)
+// finish freezes the job in a terminal state with its outcome, then
+// journals the completion before Done closes.
+func (c *Coordinator) finish(j *Job, state jobs.State, bj *backendJob, err error) {
+	c.jobs.Finish(j, state, func() {
+		if bj != nil {
+			j.cached = bj.Cached
+			j.result = bj.Result
+			j.errMsg = bj.Error
+		}
+		if err != nil {
+			j.errMsg = err.Error()
+		}
+	}, func() {
+		// Ephemeral jobs (deltas) were never accepted in the journal, so
+		// completing them would strand a done-without-accept record.
+		if j.ephemeral {
+			return
+		}
+		if jerr := c.journal.Complete(j.ID(), string(state)); jerr != nil {
+			// A completion that could not be journaled means the job will be
+			// re-run on the next boot — wasteful (the backend cache usually
+			// absorbs it) but never wrong.
+			c.reg.Counter("cluster.journal.write_errors").Add(1)
+		}
+	})
 }
 
 // finishAborted resolves a job whose context died, by cause: a user
@@ -932,27 +799,11 @@ func (c *Coordinator) completeJournal(j *Job, state string) error {
 // simulation, drain deadline) leaves the job non-terminal and
 // unjournaled so the next boot replays it.
 func (c *Coordinator) finishAborted(j *Job) {
-	if errors.Is(context.Cause(j.ctx), errAborted) {
+	cause := context.Cause(j.Context())
+	if errors.Is(cause, errAborted) {
 		return
 	}
-	c.finish(j, StateCancelled, nil, context.Cause(j.ctx))
-}
-
-// recordFinished appends to the terminal list for pruning.
-func (c *Coordinator) recordFinished(j *Job) {
-	c.mu.Lock()
-	c.finished = append(c.finished, j.id)
-	c.pruneFinishedLocked()
-	c.mu.Unlock()
-}
-
-// pruneFinishedLocked forgets the oldest terminal jobs beyond
-// MaxFinished.
-func (c *Coordinator) pruneFinishedLocked() {
-	for len(c.finished) > c.cfg.MaxFinished {
-		delete(c.jobs, c.finished[0])
-		c.finished = c.finished[1:]
-	}
+	c.finish(j, jobs.Cancelled, nil, cause)
 }
 
 // BackendStatus is one backend's aggregated health view.
@@ -974,57 +825,52 @@ func (c *Coordinator) Backends() []Backend {
 // Status live-probes every backend's /readyz and returns per-backend
 // readiness in configuration order.
 func (c *Coordinator) Status(ctx context.Context) []BackendStatus {
-	c.topoMu.RLock()
-	backends := append([]Backend(nil), c.backends...)
-	clients := make([]*client, len(backends))
-	for i, b := range backends {
-		clients[i] = c.clients[b.Name]
-	}
-	c.topoMu.RUnlock()
+	backends, clients := c.fleet()
 	out := make([]BackendStatus, len(backends))
-	var wg sync.WaitGroup
-	for i, b := range backends {
-		wg.Add(1)
-		go func(i int, b Backend, cl *client) {
-			defer wg.Done()
-			ready, detail := cl.readyz(ctx)
-			out[i] = BackendStatus{Name: b.Name, URL: b.URL, Ready: ready, Healthy: cl.Healthy(), Detail: detail}
-		}(i, b, clients[i])
-	}
-	wg.Wait()
+	parallel(len(backends), func(i int) {
+		b, cl := backends[i], clients[i]
+		ready, detail := cl.readyz(ctx)
+		out[i] = BackendStatus{Name: b.Name, URL: b.URL, Ready: ready, Healthy: cl.Healthy(), Detail: detail}
+	})
 	return out
 }
 
 // GatherMetrics fetches every backend's /metrics concurrently; a dead
 // backend maps to null so the aggregate never blocks on fleet health.
 func (c *Coordinator) GatherMetrics(ctx context.Context) map[string]json.RawMessage {
-	c.topoMu.RLock()
-	clients := make(map[string]*client, len(c.clients))
-	for name, cl := range c.clients {
-		clients[name] = cl
+	backends, clients := c.fleet()
+	ms := make([]json.RawMessage, len(clients))
+	parallel(len(clients), func(i int) { ms[i], _ = clients[i].metrics(ctx) })
+	out := make(map[string]json.RawMessage, len(backends))
+	for i, b := range backends {
+		out[b.Name] = ms[i]
 	}
-	c.topoMu.RUnlock()
-	out := make(map[string]json.RawMessage, len(clients))
-	var (
-		mu sync.Mutex
-		wg sync.WaitGroup
-	)
-	for name, cl := range clients {
-		wg.Add(1)
-		go func(name string, cl *client) {
+	return out
+}
+
+// fleet snapshots the current backends, in configuration order, with
+// their clients.
+func (c *Coordinator) fleet() ([]Backend, []*client) {
+	c.topoMu.RLock()
+	defer c.topoMu.RUnlock()
+	clients := make([]*client, len(c.backends))
+	for i, b := range c.backends {
+		clients[i] = c.clients[b.Name]
+	}
+	return append([]Backend(nil), c.backends...), clients
+}
+
+// parallel runs fn(0..n-1) concurrently and waits for all of them.
+func parallel(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
 			defer wg.Done()
-			m, err := cl.metrics(ctx)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				out[name] = nil
-				return
-			}
-			out[name] = m
-		}(name, cl)
+			fn(i)
+		}()
 	}
 	wg.Wait()
-	return out
 }
 
 // Shutdown stops intake and drains: in-flight jobs keep running to
@@ -1035,9 +881,7 @@ func (c *Coordinator) GatherMetrics(ctx context.Context) map[string]json.RawMess
 // can take over without waiting out the lease window. Idle backend
 // connections are closed last.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
-	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
+	c.jobs.Close(nil)
 	c.stopOnce.Do(func() {
 		close(c.probeStop)
 		close(c.leaseStop)
@@ -1045,19 +889,7 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	c.probeWG.Wait()
 	c.leaseWG.Wait()
 
-	drained := make(chan struct{})
-	go func() {
-		c.wg.Wait()
-		close(drained)
-	}()
-	var err error
-	select {
-	case <-drained:
-	case <-ctx.Done():
-		c.abort(errAborted)
-		<-drained
-		err = ctx.Err()
-	}
+	err := c.jobs.Drain(ctx, &c.wg, errAborted)
 	c.cfg.HTTPClient.CloseIdleConnections()
 	if jerr := c.journal.Close(); err == nil && jerr != nil {
 		err = jerr
@@ -1066,16 +898,4 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 		releaseLock(ha.LockPath, ha.Lease.Owner)
 	}
 	return err
-}
-
-// sleepCtx sleeps for d or until ctx fires.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"igpart/internal/jobs"
 	"igpart/internal/obs"
 )
 
@@ -134,7 +135,7 @@ func (f *fakeBackend) handleCancel(w http.ResponseWriter, r *http.Request) {
 	defer f.mu.Unlock()
 	id := r.PathValue("id")
 	f.cancelled = append(f.cancelled, id)
-	if j, ok := f.jobs[id]; ok && !terminalState(j.state) {
+	if j, ok := f.jobs[id]; ok && !jobs.State(j.state).Terminal() {
 		j.settle(StateCancelled)
 	}
 	w.WriteHeader(http.StatusOK)

@@ -147,13 +147,13 @@ func ParseBackendsFile(path string) ([]Backend, error) {
 
 // WatchBackendsFile polls the backends file for membership changes
 // until ctx ends: a changed mtime or size triggers a reload, and a
-// tick on force (SIGHUP in the daemon) reloads unconditionally. A file
+// signal on force (SIGHUP in the daemon) reloads unconditionally. A file
 // that fails to parse — or a reload that would empty the fleet — is
 // logged and skipped, keeping the current fleet: a half-written edit
 // must never take the cluster down. While an add is flap-suppressed
 // the watcher keeps retrying every interval so the backend joins as
 // soon as its dwell passes.
-func (c *Coordinator) WatchBackendsFile(ctx context.Context, path string, interval time.Duration, force <-chan struct{}, logf func(format string, args ...any)) {
+func (c *Coordinator) WatchBackendsFile(ctx context.Context, path string, interval time.Duration, force <-chan os.Signal, logf func(format string, args ...any)) {
 	if interval <= 0 {
 		interval = 2 * time.Second
 	}

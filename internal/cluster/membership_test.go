@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -210,7 +211,7 @@ func TestWatchBackendsFile(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	force := make(chan struct{}, 1)
+	force := make(chan os.Signal, 1)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -256,7 +257,7 @@ func TestWatchBackendsFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(both), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	force <- struct{}{}
+	force <- syscall.SIGHUP
 	waitFleet(2, "forced re-add")
 
 	cancel()

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"igpart/internal/fault"
+	"igpart/internal/jobs"
 )
 
 // clock is the engine's time source, a seam so retry/backoff schedules
@@ -22,16 +23,7 @@ type realClock struct{}
 
 func (realClock) Now() time.Time { return time.Now() }
 
-func (realClock) Sleep(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
+func (realClock) Sleep(ctx context.Context, d time.Duration) error { return jobs.Sleep(ctx, d) }
 
 // splitmix64 and backoffDelay live in internal/fault now, shared with
 // the cluster coordinator's failover resubmission; these aliases keep
@@ -44,21 +36,22 @@ func backoffDelay(attempt int, base, max time.Duration, seed uint64) time.Durati
 
 // Health is the engine's self-assessment, split the way an orchestrator
 // wants it: liveness (the engine exists and can answer) versus
-// readiness (it is sensible to send it more work right now).
+// readiness (it is sensible to send it more work right now). Its JSON
+// form is igpartd's /readyz payload.
 type Health struct {
 	// Live is true as long as the engine has not been shut down.
-	Live bool
+	Live bool `json:"-"`
 	// Ready is true when the engine accepts work and is not degraded.
-	Ready bool
+	Ready bool `json:"-"`
 	// Status is "ok", "degraded", or "shutdown".
-	Status string
+	Status string `json:"status"`
 	// Reasons lists what degraded the engine, empty when Status == "ok".
-	Reasons []string
+	Reasons []string `json:"reasons,omitempty"`
 	// QueueDepth and QueueCap describe current backlog.
-	QueueDepth int
-	QueueCap   int
+	QueueDepth int `json:"queue_depth"`
+	QueueCap   int `json:"queue_cap"`
 	// PanicStreak is the current run of consecutive solves that panicked.
-	PanicStreak int
+	PanicStreak int `json:"panic_streak,omitempty"`
 }
 
 // Health reports liveness and readiness. The engine degrades — Ready
@@ -69,8 +62,8 @@ type Health struct {
 // conditions self-heal: draining the queue or one clean solve restores
 // readiness.
 func (e *Engine) Health() Health {
+	closed := e.jobs.Closed()
 	e.mu.Lock()
-	closed := e.closed
 	streak := e.panicStreak
 	e.mu.Unlock()
 	h := Health{

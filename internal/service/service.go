@@ -31,46 +31,31 @@ import (
 	"igpart"
 	"igpart/internal/fault"
 	"igpart/internal/hypergraph"
+	"igpart/internal/jobs"
 	"igpart/internal/obs"
 )
 
-// State is a job's lifecycle phase.
-type State string
+// State and the lifecycle constants are those of internal/jobs.
+type State = jobs.State
 
-// The job lifecycle. Queued and Running are transient; the other three
-// are terminal and frozen once reached.
 const (
-	StateQueued    State = "queued"
-	StateRunning   State = "running"
-	StateDone      State = "done"
-	StateFailed    State = "failed"
-	StateCancelled State = "cancelled"
+	StateQueued    = jobs.Queued
+	StateRunning   = jobs.Running
+	StateDone      = jobs.Done
+	StateFailed    = jobs.Failed
+	StateCancelled = jobs.Cancelled
 )
 
-// Terminal reports whether the state is final.
-func (s State) Terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCancelled
-}
+// ErrQueueFull is the backpressure signal: the queue is at capacity and
+// the job was rejected, not enqueued.
+var ErrQueueFull = errors.New("service: job queue full")
 
-// Sentinel errors returned by the engine.
+// The engine's other sentinels are the lifecycle ones of internal/jobs.
 var (
-	// ErrQueueFull is the backpressure signal: the queue is at capacity
-	// and the job was rejected, not enqueued.
-	ErrQueueFull = errors.New("service: job queue full")
-	// ErrShutdown is returned by Submit after Shutdown has begun and is
-	// the cancel cause applied to jobs a timed-out drain abandons.
-	ErrShutdown = errors.New("service: engine shutting down")
-	// ErrCancelled is the cancel cause of a user-requested Cancel.
-	ErrCancelled = errors.New("service: job cancelled")
-	// ErrUnknownBase rejects a delta submission naming a job the engine
-	// does not know (expired, pruned, or never existed). cmd/igpartd
-	// maps it to HTTP 404.
-	ErrUnknownBase = errors.New("service: unknown base job")
-	// ErrNotWarmStartable rejects a delta submission whose base job
-	// cannot seed a warm start: not done yet, failed, or solved by an
-	// algorithm that leaves no net ordering behind. cmd/igpartd maps it
-	// to HTTP 409 — the request may become valid once the base finishes.
-	ErrNotWarmStartable = errors.New("service: base job not warm-startable")
+	ErrShutdown         = jobs.ErrShutdown
+	ErrCancelled        = jobs.ErrCancelled
+	ErrUnknownBase      = jobs.ErrUnknownBase
+	ErrNotWarmStartable = jobs.ErrNotWarmStartable
 )
 
 // Config sizes an Engine. The zero value is production-usable.
@@ -230,7 +215,8 @@ type warmSpec struct {
 
 // Job is a submitted partitioning request tracked by the engine.
 type Job struct {
-	id  string
+	*jobs.Job
+	e   *Engine
 	req Request
 	// key is the precomputed cache key for jobs whose key is not
 	// cacheKey(req.Netlist, req.Options) — delta jobs key on
@@ -239,40 +225,24 @@ type Job struct {
 	// warm is non-nil exactly for ECO delta jobs.
 	warm *warmSpec
 
-	ctx       context.Context
-	cancel    context.CancelCauseFunc
-	stopTimer context.CancelFunc
-
-	done chan struct{}
-
-	mu        sync.Mutex
-	state     State
-	cached    bool
-	res       *Result
-	err       error
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
+	// Outcome, guarded by the job lock.
+	cached bool
+	res    *Result
+	err    error
 }
-
-// ID returns the engine-assigned job identifier.
-func (j *Job) ID() string { return j.id }
-
-// Done is closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Snapshot returns the job's current externally visible state.
 func (j *Job) Snapshot() Snapshot {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.Lock()
+	defer j.Unlock()
 	return Snapshot{
-		ID:        j.id,
-		State:     j.state,
+		ID:        j.ID(),
+		State:     j.State,
 		Cached:    j.cached,
 		Err:       j.err,
-		Submitted: j.submitted,
-		Started:   j.started,
-		Finished:  j.finished,
+		Submitted: j.Submitted,
+		Started:   j.Started,
+		Finished:  j.Finished,
 		Result:    j.res,
 	}
 }
@@ -281,45 +251,25 @@ func (j *Job) Snapshot() Snapshot {
 // snapshot either way.
 func (j *Job) Wait(ctx context.Context) Snapshot {
 	select {
-	case <-j.done:
+	case <-j.Done():
 	case <-ctx.Done():
 	}
 	return j.Snapshot()
 }
 
-// tryStart moves queued → running; it fails when the job was cancelled
-// (or deadline-expired) while still queued.
-func (j *Job) tryStart() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateQueued || j.ctx.Err() != nil {
-		return false
+// Cancel requests cooperative cancellation: a queued job is finalized
+// immediately, a running one stops at the next sweep-split or
+// Lanczos-cycle poll.
+func (j *Job) Cancel() {
+	j.Job.Cancel()
+	j.Lock()
+	queued := j.State == StateQueued
+	j.Unlock()
+	if queued {
+		// Don't wait for a worker to drain it from the queue; when the
+		// worker does, Start sees the terminal state and moves on.
+		j.e.finish(j, StateCancelled, nil, false, ErrCancelled)
 	}
-	j.state = StateRunning
-	j.started = time.Now()
-	return true
-}
-
-// finish freezes the job in a terminal state and reports whether this
-// call performed the transition. Later calls are no-ops, which makes
-// completion/cancellation races safe — whoever transitions first wins,
-// and only the winner updates the outcome counters.
-func (j *Job) finish(state State, res *Result, cached bool, err error) bool {
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
-		return false
-	}
-	j.state = state
-	j.res = res
-	j.cached = cached
-	j.err = err
-	j.finished = time.Now()
-	j.mu.Unlock()
-	j.stopTimer()
-	j.cancel(nil)
-	close(j.done)
-	return true
 }
 
 // Engine is the partition job engine: worker pool, bounded queue,
@@ -340,12 +290,10 @@ type Engine struct {
 	// clock paces retry backoff; tests substitute a fake.
 	clock clock
 
+	jobs *jobs.Table[*Job]
+
 	mu          sync.Mutex
-	closed      bool
-	nextID      int64
-	jobs        map[string]*Job
-	finished    []string // terminal job IDs, oldest first, for pruning
-	panicStreak int      // consecutive panicking solves, for Health
+	panicStreak int // consecutive panicking solves, for Health
 }
 
 // New starts an engine with cfg's worker pool running.
@@ -357,7 +305,9 @@ func New(cfg Config) *Engine {
 		cache: newLRU(cfg.CacheEntries, cfg.Metrics, cfg.Fault),
 		queue: make(chan *Job, cfg.QueueDepth),
 		clock: realClock{},
-		jobs:  make(map[string]*Job),
+		jobs: jobs.NewTable[*Job](jobs.Config{
+			Namespace: "service", IDPrefix: "job-", MaxFinished: cfg.MaxFinished, Metrics: cfg.Metrics,
+		}),
 	}
 	// The solve closure binds the engine's injector so the pipeline's
 	// own points (eigen.noconverge, sweep.slow-shard) share one stream.
@@ -376,9 +326,6 @@ func New(cfg Config) *Engine {
 
 // Metrics returns the engine's metrics registry.
 func (e *Engine) Metrics() *obs.Registry { return e.reg }
-
-// CacheLen returns the number of cached results.
-func (e *Engine) CacheLen() int { return e.cache.len() }
 
 // Submit validates and enqueues a request. It never blocks: a full
 // queue rejects with ErrQueueFull (backpressure), an engine that began
@@ -454,82 +401,40 @@ func (e *Engine) enqueue(req Request, key string, ws *warmSpec) (*Job, error) {
 		timeout = e.cfg.MaxTimeout
 	}
 
-	base, cancel := context.WithCancelCause(context.Background())
-	ctx := base
-	stopTimer := func() {}
-	if timeout > 0 {
-		// The deadline runs from submission: a job stuck behind a full
-		// queue burns its budget too, so callers get a bounded answer
-		// time no matter where the time goes.
-		ctx, stopTimer = context.WithTimeout(base, timeout)
+	// The deadline runs from submission: a job stuck behind a full queue
+	// burns its budget too, so callers get a bounded answer time no
+	// matter where the time goes.
+	job := &Job{Job: e.jobs.NewJob("", StateQueued, timeout), e: e, req: req, key: key, warm: ws}
+	err := e.jobs.Add(job, func() error {
+		select {
+		case e.queue <- job:
+			return nil
+		default:
+			return ErrQueueFull
+		}
+	})
+	if err != nil {
+		if errors.Is(err, ErrQueueFull) {
+			e.reg.Counter("service.jobs_rejected").Add(1)
+		}
+		return nil, err
 	}
-	job := &Job{
-		req:       req,
-		key:       key,
-		warm:      ws,
-		ctx:       ctx,
-		cancel:    cancel,
-		stopTimer: stopTimer,
-		done:      make(chan struct{}),
-		state:     StateQueued,
-		submitted: time.Now(),
-	}
-
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		stopTimer()
-		cancel(ErrShutdown)
-		return nil, ErrShutdown
-	}
-	e.nextID++
-	job.id = fmt.Sprintf("job-%d", e.nextID)
-	select {
-	case e.queue <- job:
-		e.jobs[job.id] = job
-		e.pruneFinishedLocked()
-		e.mu.Unlock()
-		e.reg.Counter("service.jobs_submitted").Add(1)
-		e.reg.Gauge("service.queue_depth").Set(float64(len(e.queue)))
-		return job, nil
-	default:
-		e.mu.Unlock()
-		stopTimer()
-		cancel(ErrQueueFull)
-		e.reg.Counter("service.jobs_rejected").Add(1)
-		return nil, ErrQueueFull
-	}
+	e.reg.Counter("service.jobs_submitted").Add(1)
+	e.reg.Gauge("service.queue_depth").Set(float64(len(e.queue)))
+	return job, nil
 }
 
 // Get returns the job with the given ID.
-func (e *Engine) Get(id string) (*Job, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	j, ok := e.jobs[id]
-	return j, ok
-}
+func (e *Engine) Get(id string) (*Job, bool) { return e.jobs.Get(id) }
 
-// Cancel requests cooperative cancellation of the job: a queued job is
-// finalized immediately, a running one stops at the next sweep-split or
-// Lanczos-cycle poll. It reports whether the ID was known.
+// Cancel cancels the job with the given ID (see Job.Cancel) and reports
+// whether the ID was known.
 func (e *Engine) Cancel(id string) bool {
 	j, ok := e.Get(id)
-	if !ok {
-		return false
+	if ok {
+		j.Cancel()
 	}
-	j.cancel(ErrCancelled)
-	j.mu.Lock()
-	queued := j.state == StateQueued
-	j.mu.Unlock()
-	if queued {
-		// Don't wait for a worker to drain it from the queue; when the
-		// worker does, tryStart sees the terminal state and moves on.
-		if j.finish(StateCancelled, nil, false, ErrCancelled) {
-			e.reg.Counter("service.jobs_cancelled").Add(1)
-			e.recordFinished(j)
-		}
-	}
-	return true
+	return ok
 }
 
 // Shutdown stops intake and drains: queued and running jobs keep
@@ -538,30 +443,8 @@ func (e *Engine) Cancel(id string) bool {
 // cooperative down to split/cycle granularity — the workers still exit
 // promptly; the ctx error is returned. Safe to call more than once.
 func (e *Engine) Shutdown(ctx context.Context) error {
-	e.mu.Lock()
-	if !e.closed {
-		e.closed = true
-		close(e.queue)
-	}
-	e.mu.Unlock()
-
-	drained := make(chan struct{})
-	go func() {
-		e.wg.Wait()
-		close(drained)
-	}()
-	select {
-	case <-drained:
-		return nil
-	case <-ctx.Done():
-		e.mu.Lock()
-		for _, j := range e.jobs {
-			j.cancel(ErrShutdown)
-		}
-		e.mu.Unlock()
-		<-drained
-		return ctx.Err()
-	}
+	e.jobs.Close(func() { close(e.queue) })
+	return e.jobs.Drain(ctx, &e.wg, ErrShutdown)
 }
 
 // worker drains the queue until Shutdown closes it.
@@ -576,7 +459,7 @@ func (e *Engine) worker() {
 // the outcome by the job context's cancel cause.
 func (e *Engine) run(job *Job) {
 	e.reg.Gauge("service.queue_depth").Set(float64(len(e.queue)))
-	if !job.tryStart() {
+	if !job.Start() {
 		e.finalizeAborted(job)
 		return
 	}
@@ -585,10 +468,7 @@ func (e *Engine) run(job *Job) {
 		key = cacheKey(job.req.Netlist, job.req.Options)
 	}
 	if res, ok := e.cache.get(key); ok {
-		if job.finish(StateDone, res, true, nil) {
-			e.reg.Counter("service.jobs_completed").Add(1)
-			e.recordFinished(job)
-		}
+		e.finish(job, StateDone, res, true, nil)
 		return
 	}
 	res, err := e.solveWithRetry(job)
@@ -598,17 +478,11 @@ func (e *Engine) run(job *Job) {
 		// terminal transition: the result is valid and future identical
 		// submissions should hit.
 		e.cache.put(key, res)
-		if job.finish(StateDone, res, false, nil) {
-			e.reg.Counter("service.jobs_completed").Add(1)
-			e.recordFinished(job)
-		}
-	case job.ctx.Err() != nil:
+		e.finish(job, StateDone, res, false, nil)
+	case job.Context().Err() != nil:
 		e.finalizeAborted(job)
 	default:
-		if job.finish(StateFailed, nil, false, err) {
-			e.reg.Counter("service.jobs_failed").Add(1)
-			e.recordFinished(job)
-		}
+		e.finish(job, StateFailed, nil, false, err)
 	}
 }
 
@@ -628,9 +502,9 @@ func (e *Engine) safeSolve(job *Job) (res *Result, err error) {
 		panic("injected fault: " + string(fault.WorkerPanic))
 	}
 	if job.warm != nil {
-		res, err = e.solveDeltaFn(job.ctx, job.warm, job.req.Options)
+		res, err = e.solveDeltaFn(job.Context(), job.warm, job.req.Options)
 	} else {
-		res, err = e.solveFn(job.ctx, job.req, job.req.Options)
+		res, err = e.solveFn(job.Context(), job.req, job.req.Options)
 	}
 	e.mu.Lock()
 	e.panicStreak = 0
@@ -655,21 +529,17 @@ func (e *Engine) notePanic(pe *fault.PanicError) error {
 // context that has fired stops the loop at once, and the backoff sleep
 // itself aborts when the context fires mid-wait.
 func (e *Engine) solveWithRetry(job *Job) (*Result, error) {
-	// FNV-1a over the job ID, mixed with the request seed: distinct jobs
-	// get distinct — but reproducible — jitter streams.
-	seed := uint64(14695981039346656037)
-	for i := 0; i < len(job.id); i++ {
-		seed = (seed ^ uint64(job.id[i])) * 1099511628211
-	}
-	seed ^= splitmix64(uint64(job.req.Options.Seed))
+	// The job's jitter seed mixed with the request seed.
+	seed := jobs.JitterSeed(job.ID()) ^ splitmix64(uint64(job.req.Options.Seed))
+	ctx := job.Context()
 	for attempt := 1; ; attempt++ {
 		res, err := e.safeSolve(job)
-		if err == nil || job.ctx.Err() != nil || attempt >= e.cfg.RetryAttempts {
+		if err == nil || ctx.Err() != nil || attempt >= e.cfg.RetryAttempts {
 			return res, err
 		}
 		e.reg.Counter("service.retries").Add(1)
 		d := backoffDelay(attempt, e.cfg.RetryBaseDelay, e.cfg.RetryMaxDelay, seed)
-		if e.clock.Sleep(job.ctx, d) != nil {
+		if e.clock.Sleep(ctx, d) != nil {
 			// Deadline or cancel mid-backoff: surface the solve error; run()
 			// classifies by the context cause.
 			return nil, err
@@ -681,33 +551,20 @@ func (e *Engine) solveWithRetry(job *Job) (*Result, error) {
 // cause: an explicit Cancel (or shutdown abandonment) is "cancelled", a
 // deadline expiry is "failed" with DeadlineExceeded.
 func (e *Engine) finalizeAborted(job *Job) {
-	cause := context.Cause(job.ctx)
+	cause := context.Cause(job.Context())
 	if errors.Is(cause, context.DeadlineExceeded) {
-		if job.finish(StateFailed, nil, false, fmt.Errorf("service: job deadline exceeded: %w", context.DeadlineExceeded)) {
-			e.reg.Counter("service.jobs_failed").Add(1)
-			e.recordFinished(job)
-		}
-	} else if job.finish(StateCancelled, nil, false, cause) {
-		e.reg.Counter("service.jobs_cancelled").Add(1)
-		e.recordFinished(job)
+		e.finish(job, StateFailed, nil, false, fmt.Errorf("service: job deadline exceeded: %w", context.DeadlineExceeded))
+	} else {
+		e.finish(job, StateCancelled, nil, false, cause)
 	}
 }
 
-// recordFinished appends the job to the terminal list for pruning.
-func (e *Engine) recordFinished(job *Job) {
-	e.mu.Lock()
-	e.finished = append(e.finished, job.id)
-	e.pruneFinishedLocked()
-	e.mu.Unlock()
-}
-
-// pruneFinishedLocked forgets the oldest terminal jobs beyond
-// MaxFinished so the registry cannot grow without bound.
-func (e *Engine) pruneFinishedLocked() {
-	for len(e.finished) > e.cfg.MaxFinished {
-		delete(e.jobs, e.finished[0])
-		e.finished = e.finished[1:]
-	}
+// finish freezes the job in a terminal state with its outcome; only the
+// first call per job takes effect (see jobs.Table.Finish).
+func (e *Engine) finish(job *Job, state State, res *Result, cached bool, err error) {
+	e.jobs.Finish(job, state, func() {
+		job.res, job.cached, job.err = res, cached, err
+	}, nil)
 }
 
 // foldMetrics adds a solve trace's registry counters into the
