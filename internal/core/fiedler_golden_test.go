@@ -59,7 +59,7 @@ func TestPrim2FiedlerOrderingGolden(t *testing.T) {
 		}
 	}
 
-	const goldenHash = uint64(0xfa61fdf3e7766e18)
+	const goldenHash = uint64(0x620ab32903e2f424)
 	goldenHead := []int{1898, 1805, 2756, 517, 2398, 2722}
 	if got := orderHash(base); got != goldenHash {
 		t.Errorf("Prim2 Fiedler ordering drift: hash %#x, golden %#x (head %v)", got, goldenHash, base[:8])

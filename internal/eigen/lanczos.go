@@ -44,7 +44,8 @@ func opMulVec(op Operator, y, x []float64, workers int) {
 // Options tunes the Lanczos iteration. The zero value selects sensible
 // defaults for netlist-sized Laplacians.
 type Options struct {
-	// MaxSteps caps the Krylov dimension per restart cycle.
+	// MaxSteps caps the Krylov dimension per restart cycle; a cycle
+	// stops earlier once its Ritz residual estimate meets Tol.
 	// Default: min(n, 300).
 	MaxSteps int
 	// Tol is the relative residual tolerance for Ritz-pair convergence.
@@ -170,6 +171,22 @@ func ctxErr(ctx context.Context) error {
 // between context polls inside a cycle.
 const cancelCheckSteps = 16
 
+// convergeCheckSteps is how many Krylov steps elapse between the
+// in-cycle convergence tests. A test at step j solves the j×j
+// tridiagonal for its eigenvalues and the last row of its eigenvectors,
+// O(j²) scalar work, so a cycle that runs to its MaxSteps cap pays
+// O(MaxSteps³/convergeCheckSteps) for its tests — a tenth of full
+// reorthogonalization's O(n·MaxSteps²) even at n = MaxSteps.
+const convergeCheckSteps = 10
+
+// Why a Lanczos cycle ended. Each lanczos-cycle span counts its reason
+// under this name, and the metrics registry under "eigen.cycle_"+reason.
+const (
+	stopConverged = "converged" // the Ritz residual estimate met Tol
+	stopInvariant = "invariant" // β vanished: the Krylov space is invariant
+	stopBudget    = "budget"    // MaxSteps reached without either
+)
+
 // parMatvecMinRows is the dimension from which Options.MatvecWorkers = 0
 // turns the parallel matvec on. Below it the goroutine fork/join costs
 // more than the row sweep saves.
@@ -215,7 +232,8 @@ func (o Options) withDefaults(n int) Options {
 // The method is Lanczos with full reorthogonalization (each new Krylov
 // vector is re-orthogonalized against every stored basis vector and every
 // deflation vector), restarted from the best Ritz vector until the residual
-// ‖op·x − θx‖ falls below Tol·|θ| or MaxRestarts cycles elapse.
+// ‖op·x − θx‖ falls below Tol·|θ| or MaxRestarts cycles elapse. A cycle
+// ends at MaxSteps or earlier, once its Ritz residual estimate meets Tol.
 func LargestDeflated(op Operator, deflate [][]float64, opts Options) (float64, []float64, error) {
 	n := op.N()
 	if n == 0 {
@@ -274,8 +292,12 @@ func LargestDeflated(op Operator, deflate [][]float64, opts Options) (float64, [
 		th, v, res, cst, err := lanczosCycle(op, x, project, opts, rng)
 		csp.Count("steps", int64(cst.steps))
 		csp.Count("matvecs", int64(cst.matvecs))
-		csp.End()
 		met := rec.Metrics()
+		if cst.stop != "" {
+			csp.Count(cst.stop, 1)
+			met.Counter("eigen.cycle_" + cst.stop).Add(1)
+		}
+		csp.End()
 		met.Counter("eigen.matvecs").Add(int64(cst.matvecs))
 		met.Counter("eigen.matvec.rows").Add(int64(cst.matvecs) * int64(n))
 		met.Counter("eigen.reorth.skipped").Add(int64(cst.reorthSkipped))
@@ -306,15 +328,21 @@ func LargestDeflated(op Operator, deflate [][]float64, opts Options) (float64, [
 // cycleStats aggregates the per-cycle work counters the restart loop
 // feeds into spans and the metrics registry.
 type cycleStats struct {
-	steps         int // Krylov steps taken
-	matvecs       int // operator applications (steps + residual checks)
-	reorthSkipped int // selective steps where the ω-monitor skipped full reorth
-	reorthForced  int // selective steps where it triggered full reorth
+	steps         int    // Krylov steps taken
+	matvecs       int    // operator applications (steps + residual checks)
+	reorthSkipped int    // selective steps where the ω-monitor skipped full reorth
+	reorthForced  int    // selective steps where it triggered full reorth
+	stop          string // why the cycle ended: stopConverged, stopInvariant or stopBudget
 }
 
 // lanczosCycle runs one restart cycle from the given starting vector and
 // returns the best Ritz pair, its residual norm, and the cycle's work
-// counters.
+// counters. Every convergeCheckSteps steps it estimates the residual of
+// the largest Ritz pair from the tridiagonal alone (ritzConverged) and
+// ends the cycle once the estimate meets Tol; the returned residual is
+// still the true ‖op·x − θx‖, so the restart loop's acceptance never
+// rests on the estimate. The stop depends only on α and β, which are
+// bit-identical for every MatvecWorkers setting.
 func lanczosCycle(op Operator, start []float64, project func([]float64), opts Options, rng *rand.Rand) (float64, []float64, float64, cycleStats, error) {
 	n := op.N()
 	var st cycleStats
@@ -393,8 +421,17 @@ func lanczosCycle(op Operator, start []float64, project func([]float64), opts Op
 		}
 		st.steps++
 		bnorm := sparse.Norm2(w)
-		if bnorm <= 1e-14*(math.Abs(a)+1) || j == opts.MaxSteps-1 {
-			break // invariant subspace found or step budget exhausted
+		if bnorm <= 1e-14*(math.Abs(a)+1) {
+			st.stop = stopInvariant
+			break
+		}
+		if st.steps%convergeCheckSteps == 0 && ritzConverged(alpha, beta, bnorm, opts.Tol) {
+			st.stop = stopConverged
+			break
+		}
+		if j == opts.MaxSteps-1 {
+			st.stop = stopBudget
+			break
 		}
 		beta = append(beta, bnorm)
 		next := make([]float64, n)
@@ -423,6 +460,22 @@ func lanczosCycle(op Operator, start []float64, project func([]float64), opts Op
 	project(w)
 	sparse.Axpy(-theta, ritz, w)
 	return theta, ritz, sparse.Norm2(w), st, nil
+}
+
+// ritzConverged reports whether the largest Ritz pair of the tridiagonal
+// T = tridiag(beta, alpha, beta) meets the restart loop's acceptance test
+// by its residual estimate. For the Ritz vector y = V·s of θ, the
+// Lanczos relation gives ‖op·y − θy‖ = |β_j·s_j| in exact arithmetic,
+// with β_j the norm of the next Krylov vector and s_j the bottom entry
+// of s. A failed tridiagonal solve reads as not converged: the cycle
+// goes on and its closing solve reports the failure.
+func ritzConverged(alpha, beta []float64, betaJ, tol float64) bool {
+	vals, last, err := symTridiagonalLastRow(alpha, beta)
+	if err != nil {
+		return false
+	}
+	k := len(vals) - 1
+	return math.Abs(betaJ*last[k]) <= tol*math.Max(math.Abs(vals[k]), 1)
 }
 
 func min(a, b int) int {

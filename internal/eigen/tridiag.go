@@ -19,22 +19,57 @@ import (
 // component of the k-th eigenvector. d and e are not modified.
 func SymTridiagonal(d, e []float64, wantVectors bool) (vals []float64, z [][]float64, err error) {
 	n := len(d)
-	if len(e) != n-1 && !(n == 0 && len(e) == 0) {
-		return nil, nil, errors.New("eigen: subdiagonal must have length n-1")
-	}
-	if n == 0 {
-		return nil, nil, nil
-	}
-	vals = append([]float64(nil), d...)
-	sub := make([]float64, n) // sub[0..n-2] active, sub[n-1] = 0
-	copy(sub, e)
-	if wantVectors {
+	if wantVectors && n > 0 {
 		z = make([][]float64, n)
 		for i := range z {
 			z[i] = make([]float64, n)
 			z[i][i] = 1
 		}
 	}
+	vals, err = tql2(d, e, z)
+	if err != nil {
+		return nil, nil, err
+	}
+	return vals, z, nil
+}
+
+// symTridiagonalLastRow is SymTridiagonal restricted to the last row of
+// the eigenvector matrix: it returns the ascending eigenvalues and
+// last[k] = z[n−1][k], the bottom entry of the k-th eigenvector — what a
+// Ritz residual estimate |β·s| needs. It costs O(n²) time and O(n) space
+// instead of the O(n³) and n×n of the full vectors, and both outputs are
+// bit-identical to SymTridiagonal's (each row of Z is rotated
+// independently of the others).
+func symTridiagonalLastRow(d, e []float64) (vals, last []float64, err error) {
+	n := len(d)
+	if n > 0 {
+		last = make([]float64, n)
+		last[n-1] = 1
+	}
+	vals, err = tql2(d, e, [][]float64{last})
+	if err != nil {
+		return nil, nil, err
+	}
+	return vals, last, nil
+}
+
+// tql2 runs the implicit QL iteration on the tridiagonal (d, e) and
+// returns its eigenvalues in ascending order. z holds any subset of the
+// rows of the eigenvector matrix, each initialized to the matching row of
+// the identity: the plane rotations and the final sort act on columns, so
+// every row evolves independently and a caller pays only for the rows it
+// keeps. z may be empty.
+func tql2(d, e []float64, z [][]float64) ([]float64, error) {
+	n := len(d)
+	if len(e) != n-1 && !(n == 0 && len(e) == 0) {
+		return nil, errors.New("eigen: subdiagonal must have length n-1")
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	vals := append([]float64(nil), d...)
+	sub := make([]float64, n) // sub[0..n-2] active, sub[n-1] = 0
+	copy(sub, e)
 
 	for l := 0; l < n; l++ {
 		for iter := 0; ; iter++ {
@@ -50,7 +85,7 @@ func SymTridiagonal(d, e []float64, wantVectors bool) (vals []float64, z [][]flo
 				break
 			}
 			if iter >= 50 {
-				return nil, nil, errors.New("eigen: tridiagonal QL failed to converge in 50 iterations")
+				return nil, errors.New("eigen: tridiagonal QL failed to converge in 50 iterations")
 			}
 			// Form the Wilkinson shift.
 			g := (vals[l+1] - vals[l]) / (2 * sub[l])
@@ -75,12 +110,10 @@ func SymTridiagonal(d, e []float64, wantVectors bool) (vals []float64, z [][]flo
 				p = s * r
 				vals[i+1] = g + p
 				g = c*r - b
-				if wantVectors {
-					for k := 0; k < n; k++ {
-						f := z[k][i+1]
-						z[k][i+1] = s*z[k][i] + c*f
-						z[k][i] = c*z[k][i] - s*f
-					}
+				for _, zk := range z {
+					f := zk[i+1]
+					zk[i+1] = s*zk[i] + c*f
+					zk[i] = c*zk[i] - s*f
 				}
 			}
 			if r == 0 && m-1 >= l {
@@ -102,12 +135,10 @@ func SymTridiagonal(d, e []float64, wantVectors bool) (vals []float64, z [][]flo
 		}
 		if k != i {
 			vals[i], vals[k] = vals[k], vals[i]
-			if wantVectors {
-				for r := 0; r < n; r++ {
-					z[r][i], z[r][k] = z[r][k], z[r][i]
-				}
+			for _, zr := range z {
+				zr[i], zr[k] = zr[k], zr[i]
 			}
 		}
 	}
-	return vals, z, nil
+	return vals, nil
 }

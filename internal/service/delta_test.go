@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -205,6 +207,9 @@ func TestSubmitDeltaCacheHit(t *testing.T) {
 // ones must come back as typed ErrBadRequest (never a panic or an
 // untyped error), and accepted ones must have an order-insensitive
 // cache key — reversing every edit list yields the same deltaCacheKey.
+// A worker that has finished MaxFinished deltas prunes the base job, so
+// a delta answered with ErrUnknownBase re-submits the base (a cache hit
+// that yields a live job) and retries once.
 func FuzzDeltaRequest(f *testing.F) {
 	h, err := igpart.Generate(igpart.GenConfig{Name: "fuzz", Modules: 60, Nets: 80, Seed: 3})
 	if err != nil {
@@ -223,6 +228,30 @@ func FuzzDeltaRequest(f *testing.F) {
 		defer cancel()
 		e.Shutdown(ctx)
 	})
+	var baseMu sync.Mutex
+	currentBase := func() *Job {
+		baseMu.Lock()
+		defer baseMu.Unlock()
+		return base
+	}
+	// resubmitBase replaces a pruned base job, unless another call
+	// already replaced it.
+	resubmitBase := func(pruned *Job) (*Job, error) {
+		baseMu.Lock()
+		defer baseMu.Unlock()
+		if base != pruned {
+			return base, nil
+		}
+		j, err := e.Submit(Request{Netlist: h})
+		if err != nil {
+			return nil, err
+		}
+		if s := j.Wait(context.Background()); s.State != StateDone {
+			return nil, fmt.Errorf("base re-solve ended %s (err %v)", s.State, s.Err)
+		}
+		base = j
+		return j, nil
+	}
 
 	f.Add(int16(3), int16(0), int16(5), int16(1), int16(2), int16(7), false)
 	f.Add(int16(-1), int16(9), int16(200), int16(0), int16(0), int16(0), true)
@@ -237,7 +266,14 @@ func FuzzDeltaRequest(f *testing.F) {
 		if dup {
 			d.RemoveNets = append(d.RemoveNets, int(rmNet))
 		}
-		job, err := e.SubmitDelta(base.ID(), d, 0)
+		b := currentBase()
+		job, err := e.SubmitDelta(b.ID(), d, 0)
+		if errors.Is(err, ErrUnknownBase) {
+			if b, err = resubmitBase(b); err != nil {
+				t.Fatalf("re-submit pruned base: %v", err)
+			}
+			job, err = e.SubmitDelta(b.ID(), d, 0)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrBadRequest) {
 				t.Fatalf("rejection not typed ErrBadRequest: %v", err)
@@ -255,7 +291,7 @@ func FuzzDeltaRequest(f *testing.F) {
 			AddPins:    d.AddPins,
 			RemovePins: d.RemovePins,
 		}
-		o := base.req.Options
+		o := b.req.Options
 		if k1, k2 := deltaCacheKey(h, d, o), deltaCacheKey(h, rev, o); k1 != k2 {
 			t.Fatalf("cache key order-sensitive: %s != %s", k1, k2)
 		}
