@@ -36,11 +36,15 @@ test:
 	$(GO) test ./internal/hypergraph -run '^$$' -fuzz '^FuzzBookshelfRoundTrip$$' -fuzztime 10s
 
 # CI fuzz smoke: 10 seconds each on the Bookshelf writer round trip, the
+# one-content-address-per-netlist property across input formats, the
+# incremental Even/Odd classifier against its from-scratch oracle, the
 # multilevel V-cycle invariants, service request validation (generic,
 # k-way, and ECO delta), and the benchmark generator's structural
 # contract.
 fuzz-smoke:
 	$(GO) test ./internal/hypergraph -run '^$$' -fuzz '^FuzzBookshelfRoundTrip$$' -fuzztime 10s
+	$(GO) test ./internal/hypergraph -run '^$$' -fuzz '^FuzzCanonicalFormats$$' -fuzztime 10s
+	$(GO) test ./internal/bipartite -run '^$$' -fuzz '^FuzzIncrementalClassify$$' -fuzztime 10s
 	$(GO) test ./internal/multilevel -run '^$$' -fuzz '^FuzzVCycle$$' -fuzztime 10s
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzRequestValidate$$' -fuzztime 10s
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzKWayRequest$$' -fuzztime 10s
@@ -101,13 +105,16 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Short fuzzing pass over every parser, the Bookshelf writer, and the
-# multilevel V-cycle.
+# Short fuzzing pass over every parser, the Bookshelf writer, the
+# canonical encoding, the incremental classifier, and the multilevel
+# V-cycle.
 fuzz:
 	$(GO) test ./internal/hypergraph -fuzz FuzzReadHGR -fuzztime 30s
 	$(GO) test ./internal/hypergraph -fuzz FuzzReadNetlist -fuzztime 30s
 	$(GO) test ./internal/hypergraph -fuzz FuzzReadBookshelf -fuzztime 30s
 	$(GO) test ./internal/hypergraph -fuzz FuzzBookshelfRoundTrip -fuzztime 30s
+	$(GO) test ./internal/hypergraph -fuzz FuzzCanonicalFormats -fuzztime 30s
+	$(GO) test ./internal/bipartite -fuzz FuzzIncrementalClassify -fuzztime 30s
 	$(GO) test ./internal/multilevel -fuzz FuzzVCycle -fuzztime 30s
 	$(GO) test ./internal/service -fuzz FuzzRequestValidate -fuzztime 30s
 	$(GO) test ./internal/service -fuzz FuzzKWayRequest -fuzztime 30s

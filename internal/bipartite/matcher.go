@@ -4,6 +4,13 @@
 // Even/Odd alternating-path construction that extracts a maximum
 // independent set (the "winner" nets), and a Hopcroft–Karp reference
 // implementation used as a testing oracle.
+//
+// The Even/Odd classes come two ways. WinnersInto classifies from scratch
+// in O(n + e); it is the one-shot classifier for isolated splits and the
+// oracle in tests. A sweep instead tracks the classes incrementally
+// (TrackClasses, Classify in classify.go): only vertices with an E_B edge
+// can be anything but trivially Even, so each split re-walks that
+// frontier over E_B edges and reports the vertices whose class changed.
 package bipartite
 
 // Matcher maintains a maximum matching in the bipartite graph B(L, R, E_B)
@@ -14,11 +21,18 @@ package bipartite
 // After every move the matching is guaranteed maximum for the current B.
 // Each MoveToR performs at most two augmenting-path searches, so a full
 // sweep of n moves costs O(n·(n+e)) — the amortized bound of Theorem 6.
+//
+// A matcher may additionally track the Even/Odd classification
+// incrementally (TrackClasses, classify.go): MoveToR then also keeps the
+// E_B frontier, and Classify re-walks only the frontier per split instead
+// of the whole graph. Untracked matchers pay nothing for it.
 type Matcher struct {
 	adj   [][]int // static host-graph adjacency
 	inL   []bool
-	match []int // match[v] = current partner, or -1
-	augs  int   // augmenting paths applied over the matcher's lifetime
+	match []int       // match[v] = current partner, or -1
+	size  int         // matched edges, kept by MoveToR and augmentation
+	augs  int         // augmenting paths applied over the matcher's lifetime
+	inc   *classifier // incremental classification state; nil unless tracked
 
 	// scratch for searches
 	visited []int
@@ -70,6 +84,7 @@ func NewMatcherAt(adj [][]int, inR []bool) *Matcher {
 		m.inL[i] = !inR[i]
 	}
 	m.augs, m.match = HopcroftKarp(adj, m.inL)
+	m.size = m.augs
 	return m
 }
 
@@ -90,16 +105,9 @@ func (m *Matcher) InL(v int) bool { return m.inL[v] }
 func (m *Matcher) Match(v int) int { return m.match[v] }
 
 // MatchingSize returns the current (maximum) matching size, which equals
-// the minimum vertex cover size of B by König's theorem.
-func (m *Matcher) MatchingSize() int {
-	k := 0
-	for v, p := range m.match {
-		if p >= 0 && v < p {
-			k++
-		}
-	}
-	return k
-}
+// the minimum vertex cover size of B by König's theorem. It is a kept
+// count, O(1); CheckMatching verifies it against the match pointers.
+func (m *Matcher) MatchingSize() int { return m.size }
 
 // MoveToR migrates vertex v from L to R, repairing the matching to be
 // maximum for the new bipartite graph. It follows the Phase I pseudocode of
@@ -114,8 +122,12 @@ func (m *Matcher) MoveToR(v int) {
 	if u >= 0 {
 		m.match[v] = -1
 		m.match[u] = -1
+		m.size--
 	}
 	m.inL[v] = false
+	if m.inc != nil {
+		m.inc.move(m, v)
+	}
 	if u >= 0 {
 		m.augmentFromR(u)
 	}
@@ -144,6 +156,7 @@ func (m *Matcher) augmentFromR(r int) bool {
 			if m.match[x] < 0 {
 				// Augment: flip the path back to r.
 				m.augs++
+				m.size++
 				for {
 					py := m.parent[x]
 					next := m.match[py]
@@ -280,13 +293,18 @@ func (m *Matcher) EdgesInB() int {
 	return k
 }
 
-// CheckMatching validates internal consistency: symmetry of match pointers
-// and that every matched edge crosses the split and exists in the host
-// graph. It is a testing aid.
+// CheckMatching validates internal consistency: symmetry of match pointers,
+// that every matched edge crosses the split and exists in the host graph,
+// and that the kept matching size counts exactly the matched edges. It is
+// a testing aid.
 func (m *Matcher) CheckMatching() error {
+	edges := 0
 	for v, p := range m.match {
 		if p < 0 {
 			continue
+		}
+		if v < p {
+			edges++
 		}
 		if m.match[p] != v {
 			return errMatch(v, p, "asymmetric match")
@@ -304,6 +322,9 @@ func (m *Matcher) CheckMatching() error {
 		if !found {
 			return errMatch(v, p, "matched edge not in host graph")
 		}
+	}
+	if edges != m.size {
+		return errMatch(-1, -1, "kept matching size differs from the matched edges")
 	}
 	return nil
 }

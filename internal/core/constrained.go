@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"sort"
 
-	"igpart/internal/bipartite"
 	"igpart/internal/partition"
 )
 
@@ -137,78 +136,17 @@ func balanceRankWindow(bal *Balance, n, nSplits int) (lo, hi int) {
 }
 
 // evaluateConstrained is the constrained counterpart of evaluate: it
-// colors the winners around the pinned modules, scores both bulk V_N
-// placements against the balance window, and when neither lands inside it
-// falls back to the affinity-ordered balanced completion — V_N sorted by
-// net affinity to the colored sides, split at the feasible prefix length
-// that scores better. The chosen completion is remembered in balX/balSide
-// for materializeConstrained. ok is false when the window is unreachable
-// at this split.
-func (c *completer) evaluateConstrained(sets bipartite.Sets) (partition.Metrics, bool) {
-	wU, wW := c.color(sets) // free winner modules only; pins stay put
-	nU := c.cons.fixedU + wU
-	nW := c.cons.fixedW + wW
+// scores both bulk V_N placements from the kept counts against the
+// balance window, and only when neither lands inside it falls back to the
+// affinity-ordered balanced completion — V_N sorted by net affinity to
+// the colored sides, split at the feasible prefix length that scores
+// better. The chosen completion is remembered in balX/balSide for
+// materializeConstrained. ok is false when the window is unreachable at
+// this split.
+func (c *completer) evaluateConstrained() (partition.Metrics, bool) {
 	n := c.h.NumModules()
-	nN := n - nU - nW
 	lo, hi := c.cons.window(n)
-
-	// Collect V_N and reset its affinity accumulators, then one pass over
-	// the pins scores both bulk options and the per-module affinities the
-	// balanced fallback sorts by.
-	c.vn = c.vn[:0]
-	for v := 0; v < n; v++ {
-		if c.assigned[v] == 0 {
-			c.vn = append(c.vn, v)
-			c.affU[v] = 0
-			c.affW[v] = 0
-		}
-	}
-	cutToU, cutToW := 0, 0 // cut counts for V_N→U and V_N→W
-	for e := 0; e < c.h.NumNets(); e++ {
-		pins := c.h.Pins(e)
-		if len(pins) < 2 {
-			continue
-		}
-		var hasU, hasW, hasN bool
-		for _, v := range pins {
-			switch c.assigned[v] {
-			case 1:
-				hasU = true
-			case 2:
-				hasW = true
-			default:
-				hasN = true
-			}
-		}
-		if hasW && (hasU || hasN) {
-			cutToU++
-		}
-		if hasU && (hasW || hasN) {
-			cutToW++
-		}
-		if hasN && (hasU || hasW) {
-			for _, v := range pins {
-				if c.assigned[v] != 0 {
-					continue
-				}
-				if hasU {
-					c.affU[v]++
-				}
-				if hasW {
-					c.affW[v]++
-				}
-			}
-		}
-	}
-
-	metU := partition.Metrics{ // V_N joins U
-		CutNets: cutToU, SizeU: nU + nN, SizeW: nW,
-		RatioCut: partition.RatioCutFrom(cutToU, nU+nN, nW),
-	}
-	metW := partition.Metrics{ // V_N joins W
-		CutNets: cutToW, SizeU: nU, SizeW: nW + nN,
-		RatioCut: partition.RatioCutFrom(cutToW, nU, nW+nN),
-	}
+	metU, metW := c.bulkOptions()
 	okU := metU.SizeW > 0 && lo <= metU.SizeU && metU.SizeU <= hi
 	okW := metW.SizeU > 0 && lo <= metW.SizeU && metW.SizeU <= hi
 	c.balX = -1
@@ -224,6 +162,8 @@ func (c *completer) evaluateConstrained(sets bipartite.Sets) (partition.Metrics,
 	// Balanced completion: the feasible prefix lengths x (V_N modules sent
 	// to U) that land SizeU = nU+x inside the window. Both bulk extremes
 	// were just rejected, so any feasible x is a genuine split of V_N.
+	nU, nW := metW.SizeU, metU.SizeW
+	nN := n - nU - nW
 	xlo, xhi := lo-nU, hi-nU
 	if xlo < 0 {
 		xlo = 0
@@ -234,6 +174,7 @@ func (c *completer) evaluateConstrained(sets bipartite.Sets) (partition.Metrics,
 	if xlo > xhi || nN == 0 {
 		return partition.Metrics{}, false
 	}
+	c.affinities()
 	c.sortVNByAffinity()
 	x := xlo
 	met := partition.Metrics{CutNets: c.vnCut(xlo), SizeU: nU + xlo, SizeW: nW + nN - xlo}
@@ -251,6 +192,39 @@ func (c *completer) evaluateConstrained(sets bipartite.Sets) (partition.Metrics,
 	}
 	c.balX = x
 	return met, true
+}
+
+// affinities collects V_N and counts, per V_N module, its nets that also
+// hold U pins (affU) and W pins (affW) — the sort key of the balanced
+// completion. One pass over the pins of the nets that mix V_N with a
+// colored side.
+func (c *completer) affinities() {
+	c.vn = c.vn[:0]
+	for v, col := range c.assigned {
+		if col == 0 {
+			c.vn = append(c.vn, v)
+			c.affU[v] = 0
+			c.affW[v] = 0
+		}
+	}
+	for e := range c.netU {
+		u, w := c.netU[e], c.netW[e]
+		pins := c.h.Pins(e)
+		if u+w == 0 || int(u+w) == len(pins) {
+			continue
+		}
+		for _, v := range pins {
+			if c.assigned[v] != 0 {
+				continue
+			}
+			if u > 0 {
+				c.affU[v]++
+			}
+			if w > 0 {
+				c.affW[v]++
+			}
+		}
+	}
 }
 
 // materializeConstrained builds the partition for the completion chosen

@@ -17,7 +17,12 @@
 //  4. Return the best module partition over all splits.
 //
 // Theorems 4–5 guarantee each completion cuts at most |maximum matching(B)|
-// nets; the sweep costs O(m·(m+e)) total for m nets (Theorem 6).
+// nets; the sweep costs O(m·(m+e)) total for m nets in the worst case
+// (Theorem 6). In practice a split costs far less: Phase I re-walks only
+// the E_B frontier (Matcher.Classify) and reports the few nets whose class
+// changed, and the completer applies just those changes to kept counts, so
+// a split costs O(frontier + |E_B| + Σ changed·degree) and Phase II
+// scoring is O(1).
 package core
 
 import (
@@ -276,10 +281,10 @@ func IGAdjacency(h *hypergraph.Hypergraph) [][]int {
 
 // sweep runs the IG-Match main loop over the given net order, dispatching
 // between the serial engine (one incremental matcher walking every split)
-// and the parallel sharded engine of parallel.go. Each split is evaluated
-// with a single pass over the pins: both Phase II bulk options are scored
-// simultaneously from the winner assignment, and a concrete partition is
-// only materialized when the split improves on the shard's best so far.
+// and the parallel sharded engine of parallel.go. Both Phase II bulk
+// options of a split are scored from the completer's kept counts, and a
+// concrete partition is only materialized when the split improves on the
+// shard's best so far.
 func sweep(h *hypergraph.Hypergraph, order []int, opts Options) (Result, error) {
 	m := h.NumNets()
 	cons, err := newConstraints(opts, h.NumModules())
@@ -330,7 +335,6 @@ func sweep(h *hypergraph.Hypergraph, order []int, opts Options) (Result, error) 
 	// split the serial sweep would have kept.
 	best := Result{NetOrder: order}
 	bestCost := partition.Metrics{RatioCut: inf()}
-	var bestSets bipartite.Sets
 	haveBest := false
 	for _, sb := range shards {
 		if sb.err != nil {
@@ -346,7 +350,6 @@ func sweep(h *hypergraph.Hypergraph, order []int, opts Options) (Result, error) 
 			best.Metrics = sb.met
 			best.BestRank = sb.rank
 			best.BestMatching = sb.matching
-			bestSets = sb.sets
 			haveBest = true
 		}
 	}
@@ -367,7 +370,7 @@ func sweep(h *hypergraph.Hypergraph, order []int, opts Options) (Result, error) 
 	// The recursive extension's completion machinery is pin- and
 	// balance-oblivious, so it only augments unconstrained runs.
 	if opts.RecursionDepth > 0 && cons == nil {
-		if p2, met2, ok := completeRecursive(h, bestSets, opts); ok && better(met2, best.Metrics) {
+		if p2, met2, ok := completeRecursive(h, winnersAt(adj, order, best.BestRank), opts); ok && better(met2, best.Metrics) {
 			best.Partition = p2
 			best.Metrics = met2
 			best.Recursed = true
@@ -385,7 +388,6 @@ type shardBest struct {
 	part     *partition.Bipartition
 	rank     int
 	matching int
-	sets     bipartite.Sets
 	err      error
 }
 
@@ -396,6 +398,12 @@ type shardBest struct {
 // so per-split trace records and the shard-local best are identical to the
 // serial engine's view of the same ranks. When trace is non-nil the shard
 // writes records at trace[rank−1] — disjoint slots across shards.
+//
+// Each split is incremental end to end: the matcher reclassifies only the
+// E_B frontier and reports the nets whose class changed, the completer
+// applies those changes to its kept counts, and both bulk options are
+// scored in O(1). One full recount seeds the counts at the shard's first
+// split.
 //
 // sp is the shard's stage span. Per-split tallies stay in local integers
 // regardless of tracing and are flushed to the span (and the run-wide
@@ -412,16 +420,15 @@ func sweepShard(ctx context.Context, h *hypergraph.Hypergraph, adj [][]int, orde
 		}
 		matcher = bipartite.NewMatcherAt(adj, inR)
 	}
+	matcher.TrackClasses()
 	comp := newCompleter(h, cons)
 
 	var sb shardBest
 	bestCost := partition.Metrics{RatioCut: inf()}
-	var sets bipartite.Sets
 	var winners, improved, infeasible int64
 	for rank := lo; rank < hi; rank++ {
-		// Cooperative cancellation at split granularity: each split does
-		// O(m+e) completion work, so one context poll per split is
-		// negligible and keeps cancellation latency to a single split.
+		// Cooperative cancellation at split granularity: one context poll
+		// per split keeps cancellation latency to a single split.
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				sb.err = err
@@ -429,15 +436,20 @@ func sweepShard(ctx context.Context, h *hypergraph.Hypergraph, adj [][]int, orde
 			}
 		}
 		matcher.MoveToR(order[rank-1])
-		matcher.WinnersInto(&sets)
-		winners += int64(len(sets.EvenL) + len(sets.EvenR))
+		changes := matcher.Classify()
+		if rank == lo {
+			comp.recount(matcher.TrackedSets())
+		} else {
+			comp.apply(changes)
+		}
+		winners += int64(matcher.EvenCount())
 		var met partition.Metrics
 		var vnSide partition.Side
 		var ok bool
 		if comp.cons == nil {
-			met, vnSide, ok = comp.evaluate(sets)
+			met, vnSide, ok = comp.evaluate()
 		} else {
-			met, ok = comp.evaluateConstrained(sets)
+			met, ok = comp.evaluateConstrained()
 		}
 		if trace != nil {
 			rec := SplitRecord{
@@ -464,12 +476,13 @@ func sweepShard(ctx context.Context, h *hypergraph.Hypergraph, adj [][]int, orde
 			sb.part = comp.materializeBest(vnSide)
 			sb.rank = rank
 			sb.matching = matcher.MatchingSize()
-			sb.sets = copySets(sets) // sets storage is reused next split
 		}
 	}
 	splits := int64(hi - lo)
 	sp.Count("splits", splits)
 	sp.Count("phase1-winners", winners)
+	sp.Count("frontier-visits", matcher.FrontierVisits())
+	sp.Count("class-changes", matcher.ClassChanges())
 	sp.Count("phase2-evals", splits-infeasible)
 	sp.Count("infeasible", infeasible)
 	sp.Count("improved", improved)
@@ -478,30 +491,45 @@ func sweepShard(ctx context.Context, h *hypergraph.Hypergraph, adj [][]int, orde
 	reg.Counter("sweep.splits").Add(splits)
 	reg.Counter("sweep.augmentations").Add(int64(matcher.Augmentations()))
 	reg.Counter("sweep.phase1_winners").Add(winners)
+	reg.Counter("sweep.frontier_visits").Add(matcher.FrontierVisits())
+	reg.Counter("sweep.class_changes").Add(matcher.ClassChanges())
 	sp.End()
 	return sb
 }
 
-// copySets deep-copies a winner classification whose storage is reused.
-func copySets(s bipartite.Sets) bipartite.Sets {
-	return bipartite.Sets{
-		EvenL: append([]int(nil), s.EvenL...),
-		OddL:  append([]int(nil), s.OddL...),
-		EvenR: append([]int(nil), s.EvenR...),
-		OddR:  append([]int(nil), s.OddR...),
-		CoreL: append([]int(nil), s.CoreL...),
-		CoreR: append([]int(nil), s.CoreR...),
+// winnersAt classifies the split at rank from scratch: the winner sets
+// the recursive extension completes around. The classification is
+// canonical, so it equals what the sweep saw at that rank.
+func winnersAt(adj [][]int, order []int, rank int) bipartite.Sets {
+	inR := make([]bool, len(adj))
+	for _, e := range order[:rank] {
+		inR[e] = true
 	}
+	return bipartite.NewMatcherAt(adj, inR).Winners()
 }
 
-// completer evaluates Phase II completions with reused buffers.
+// completer evaluates Phase II completions from kept counts. Per module
+// it counts the incident Even(L) and Even(R) nets, which fix the winner
+// coloring; per net it counts the pins colored U and W (the rest are
+// V_N). From those it keeps the cut of both bulk placements of V_N and
+// the colored side sizes, so scoring a split is O(1). A sweep seeds the
+// counts with one recount and then applies only the class changes of each
+// split; the cost of a split is the degrees of the modules and nets those
+// changes touch.
 type completer struct {
 	h *hypergraph.Hypergraph
 	// assigned holds the winner coloring: 0 = unassigned (V_N),
-	// 1 = V_L (side U), 2 = V_R (side W). Pinned modules are pre-colored
-	// at construction and never reset.
+	// 1 = V_L (side U), 2 = V_R (side W). Pinned modules keep their
+	// permanent color and are never recolored.
 	assigned []uint8
-	touched  []int // free modules colored at the current split, for O(1) reset
+	nEL, nER []int32 // per module: incident Even(L) / Even(R) nets
+	netU     []int32 // per net: pins colored U
+	netW     []int32 // per net: pins colored W
+	nU, nW   int     // free modules colored U / W
+	cutToU   int     // nets cut when V_N joins U
+	cutToW   int     // nets cut when V_N joins W
+	touched  []int   // modules whose winner counts moved in apply
+	dirty    []bool  // module is in touched
 
 	// Constrained-engine state; nil/unused on the paper path.
 	cons     *constraints
@@ -515,65 +543,176 @@ type completer struct {
 }
 
 func newCompleter(h *hypergraph.Hypergraph, cons *constraints) *completer {
+	n, m := h.NumModules(), h.NumNets()
 	c := &completer{
 		h:        h,
-		assigned: make([]uint8, h.NumModules()),
-		touched:  make([]int, 0, h.NumModules()),
+		assigned: make([]uint8, n),
+		nEL:      make([]int32, n),
+		nER:      make([]int32, n),
+		netU:     make([]int32, m),
+		netW:     make([]int32, m),
+		dirty:    make([]bool, n),
 	}
 	if cons != nil {
-		n := h.NumModules()
 		c.cons = cons
 		c.affU = make([]int32, n)
 		c.affW = make([]int32, n)
 		c.vn = make([]int, 0, n)
 		c.vnPos = make([]int32, n)
-		if cons.fixed != nil {
-			c.fixedCol = cons.fixed
-			copy(c.assigned, cons.fixed) // permanent colors; color() skips them
-		}
+		c.fixedCol = cons.fixed
 	}
 	return c
 }
 
-// color applies the winner assignment for the given split. Pinned modules
-// keep their permanent color: winner nets color only the free modules
-// around them, and the returned counts cover free modules only.
-func (c *completer) color(sets bipartite.Sets) (nU, nW int) {
-	for _, v := range c.touched {
-		c.assigned[v] = 0
+// netCut reports whether a net with u pins on U, w on W and the rest of
+// its size in V_N is cut when V_N joins U, and when it joins W.
+func netCut(u, w, size int32) (toU, toW int) {
+	n := size - u - w
+	if w > 0 && (u > 0 || n > 0) {
+		toU = 1
 	}
-	c.touched = c.touched[:0]
+	if u > 0 && (w > 0 || n > 0) {
+		toW = 1
+	}
+	return toU, toW
+}
+
+// winnerColor is module v's color: its pinned side, or else the color
+// its winner-net counts give. A module in both an Even(L) and an Even(R)
+// net cannot occur with a maximum matching; W wins, as the later of the
+// two colorings would.
+func (c *completer) winnerColor(v int) uint8 {
+	switch {
+	case c.fixedCol != nil && c.fixedCol[v] != 0:
+		return c.fixedCol[v]
+	case c.nER[v] > 0:
+		return 2
+	case c.nEL[v] > 0:
+		return 1
+	}
+	return 0
+}
+
+// recount rebuilds every count from scratch for the winner classification
+// sets: O(modules + pins). It seeds a sweep shard's first split and scores
+// each candidate split.
+func (c *completer) recount(sets bipartite.Sets) {
+	clear(c.nEL)
+	clear(c.nER)
 	for _, e := range sets.EvenL {
 		for _, v := range c.h.Pins(e) {
-			if c.fixedCol != nil && c.fixedCol[v] != 0 {
-				continue
-			}
-			if c.assigned[v] == 0 {
-				c.touched = append(c.touched, v)
-				nU++
-			} else if c.assigned[v] == 2 {
-				nW-- // overlap cannot happen with a maximum matching, but
-				nU++ // stay safe: latest color wins
-			}
-			c.assigned[v] = 1
+			c.nEL[v]++
 		}
 	}
 	for _, e := range sets.EvenR {
 		for _, v := range c.h.Pins(e) {
-			if c.fixedCol != nil && c.fixedCol[v] != 0 {
-				continue
-			}
-			if c.assigned[v] == 0 {
-				c.touched = append(c.touched, v)
-				nW++
-			} else if c.assigned[v] == 1 {
-				nU--
-				nW++
-			}
-			c.assigned[v] = 2
+			c.nER[v]++
 		}
 	}
-	return nU, nW
+	c.nU, c.nW = 0, 0
+	for v := range c.assigned {
+		col := c.winnerColor(v)
+		c.assigned[v] = col
+		if c.fixedCol == nil || c.fixedCol[v] == 0 {
+			c.tally(col, 1)
+		}
+	}
+	c.cutToU, c.cutToW = 0, 0
+	for e := range c.netU {
+		pins := c.h.Pins(e)
+		var u, w int32
+		for _, v := range pins {
+			switch c.assigned[v] {
+			case 1:
+				u++
+			case 2:
+				w++
+			}
+		}
+		c.netU[e], c.netW[e] = u, w
+		toU, toW := netCut(u, w, int32(len(pins)))
+		c.cutToU += toU
+		c.cutToW += toW
+	}
+}
+
+// apply updates the counts for the class changes of one split: each net
+// that entered or left Even(L) or Even(R) moves its pins' winner counts,
+// and each module whose color changes moves its nets' pin counts and the
+// kept cuts.
+func (c *completer) apply(changes []bipartite.ClassChange) {
+	for _, ch := range changes {
+		dL := isClass(ch.To, bipartite.ClassEvenL) - isClass(ch.From, bipartite.ClassEvenL)
+		dR := isClass(ch.To, bipartite.ClassEvenR) - isClass(ch.From, bipartite.ClassEvenR)
+		if dL == 0 && dR == 0 {
+			continue
+		}
+		for _, v := range c.h.Pins(int(ch.V)) {
+			c.nEL[v] += dL
+			c.nER[v] += dR
+			if !c.dirty[v] {
+				c.dirty[v] = true
+				c.touched = append(c.touched, v)
+			}
+		}
+	}
+	for _, v := range c.touched {
+		c.dirty[v] = false
+		c.recolor(v)
+	}
+	c.touched = c.touched[:0]
+}
+
+// tally adds d free modules to the side of color col.
+func (c *completer) tally(col uint8, d int) {
+	switch col {
+	case 1:
+		c.nU += d
+	case 2:
+		c.nW += d
+	}
+}
+
+func isClass(c, want bipartite.Class) int32 {
+	if c == want {
+		return 1
+	}
+	return 0
+}
+
+// recolor brings module v's color in line with its winner counts,
+// updating the side sizes, its nets' pin counts and the kept cuts.
+func (c *completer) recolor(v int) {
+	old, col := c.assigned[v], c.winnerColor(v)
+	if old == col {
+		return
+	}
+	c.assigned[v] = col
+	c.tally(old, -1)
+	c.tally(col, 1)
+	for _, e := range c.h.Nets(v) {
+		size := int32(c.h.NetSize(e))
+		u, w := c.netU[e], c.netW[e]
+		toU, toW := netCut(u, w, size)
+		c.cutToU -= toU
+		c.cutToW -= toW
+		switch old {
+		case 1:
+			u--
+		case 2:
+			w--
+		}
+		switch col {
+		case 1:
+			u++
+		case 2:
+			w++
+		}
+		c.netU[e], c.netW[e] = u, w
+		toU, toW = netCut(u, w, size)
+		c.cutToU += toU
+		c.cutToW += toW
+	}
 }
 
 // materializeBest dispatches between the unconstrained and constrained
@@ -585,48 +724,31 @@ func (c *completer) materializeBest(vnSide partition.Side) *partition.Bipartitio
 	return c.materializeConstrained()
 }
 
-// evaluate colors the winners and scores both bulk placements of the
-// unassigned modules in one pass over the pins, returning the better
-// option's metrics and which side V_N goes to. ok is false when both
-// options leave a side empty.
-func (c *completer) evaluate(sets bipartite.Sets) (partition.Metrics, partition.Side, bool) {
-	nU, nW := c.color(sets)
-	n := c.h.NumModules()
-	nN := n - nU - nW
+// bulkOptions scores both bulk placements of V_N from the kept counts:
+// metU sends V_N to U, metW to W. Pinned modules count on their sides.
+func (c *completer) bulkOptions() (metU, metW partition.Metrics) {
+	nU, nW := c.nU, c.nW
+	if c.cons != nil {
+		nU += c.cons.fixedU
+		nW += c.cons.fixedW
+	}
+	nN := c.h.NumModules() - nU - nW
+	metU = partition.Metrics{
+		CutNets: c.cutToU, SizeU: nU + nN, SizeW: nW,
+		RatioCut: partition.RatioCutFrom(c.cutToU, nU+nN, nW),
+	}
+	metW = partition.Metrics{
+		CutNets: c.cutToW, SizeU: nU, SizeW: nW + nN,
+		RatioCut: partition.RatioCutFrom(c.cutToW, nU, nW+nN),
+	}
+	return metU, metW
+}
 
-	cutToU, cutToW := 0, 0 // cut counts for V_N→U and V_N→W
-	for e := 0; e < c.h.NumNets(); e++ {
-		pins := c.h.Pins(e)
-		if len(pins) < 2 {
-			continue
-		}
-		var hasU, hasW, hasN bool
-		for _, v := range pins {
-			switch c.assigned[v] {
-			case 1:
-				hasU = true
-			case 2:
-				hasW = true
-			default:
-				hasN = true
-			}
-		}
-		if hasW && (hasU || hasN) {
-			cutToU++
-		}
-		if hasU && (hasW || hasN) {
-			cutToW++
-		}
-	}
-
-	metU := partition.Metrics{ // V_N joins U
-		CutNets: cutToU, SizeU: nU + nN, SizeW: nW,
-		RatioCut: partition.RatioCutFrom(cutToU, nU+nN, nW),
-	}
-	metW := partition.Metrics{ // V_N joins W
-		CutNets: cutToW, SizeU: nU, SizeW: nW + nN,
-		RatioCut: partition.RatioCutFrom(cutToW, nU, nW+nN),
-	}
+// evaluate scores both bulk placements of the unassigned modules for the
+// current counts, returning the better option's metrics and which side
+// V_N goes to. ok is false when both options leave a side empty. O(1).
+func (c *completer) evaluate() (partition.Metrics, partition.Side, bool) {
+	metU, metW := c.bulkOptions()
 	okU := metU.SizeU > 0 && metU.SizeW > 0
 	okW := metW.SizeU > 0 && metW.SizeW > 0
 	switch {

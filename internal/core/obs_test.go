@@ -100,3 +100,38 @@ func TestObsTracingChangesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestObsIncrementalSweepCounters checks the Phase I work counters: each
+// shard span's frontier-visits and class-changes sum to the registry
+// counters, phase1-winners is independent of the shard count, and a
+// split classifies no more frontier nets than there are nets.
+func TestObsIncrementalSweepCounters(t *testing.T) {
+	h := randomCircuit(t, 4)
+	m := int64(h.NumNets())
+	var winners int64 = -1
+	for _, p := range []int{1, 2, 4} {
+		tr := obs.NewTrace("igmatch")
+		if _, err := Partition(h, Options{Parallelism: p, Rec: tr}); err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+		root := tr.Finish()
+		sweep := root.Find("sweep")
+		snap := tr.Metrics().Snapshot()
+		for span, reg := range map[string]string{
+			"frontier-visits": "sweep.frontier_visits",
+			"class-changes":   "sweep.class_changes",
+			"phase1-winners":  "sweep.phase1_winners",
+		} {
+			if a, b := sweep.Sum(span), snap.Counters[reg]; a != b || a <= 0 {
+				t.Errorf("p=%d: span %s = %d, registry %s = %d, want equal and positive", p, span, a, reg, b)
+			}
+		}
+		if f := sweep.Sum("frontier-visits"); f > m*(m-1) {
+			t.Errorf("p=%d: %d frontier visits over %d splits of %d nets", p, f, m-1, m)
+		}
+		if winners >= 0 && sweep.Sum("phase1-winners") != winners {
+			t.Errorf("p=%d: phase1-winners %d, serial %d", p, sweep.Sum("phase1-winners"), winners)
+		}
+		winners = sweep.Sum("phase1-winners")
+	}
+}

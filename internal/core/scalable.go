@@ -141,7 +141,6 @@ func candidateSweep(h *hypergraph.Hypergraph, order []int, candidates int, opts 
 
 	best := Result{NetOrder: order}
 	bestCost := partition.Metrics{RatioCut: inf()}
-	var bestSets bipartite.Sets
 	haveBest := false
 	for _, sb := range results {
 		if sb.err != nil {
@@ -157,7 +156,6 @@ func candidateSweep(h *hypergraph.Hypergraph, order []int, candidates int, opts 
 			best.Metrics = sb.met
 			best.BestRank = sb.rank
 			best.BestMatching = sb.matching
-			bestSets = sb.sets
 			haveBest = true
 		}
 	}
@@ -178,7 +176,7 @@ func candidateSweep(h *hypergraph.Hypergraph, order []int, candidates int, opts 
 	// The recursive extension is pin- and balance-oblivious; it only
 	// augments unconstrained runs.
 	if opts.RecursionDepth > 0 && cons == nil {
-		if p2, met2, ok := completeRecursive(h, bestSets, opts); ok && better(met2, best.Metrics) {
+		if p2, met2, ok := completeRecursive(h, winnersAt(adj, order, best.BestRank), opts); ok && better(met2, best.Metrics) {
 			best.Partition = p2
 			best.Metrics = met2
 			best.Recursed = true
@@ -232,10 +230,11 @@ func candidateShard(h *hypergraph.Hypergraph, adj [][]int, order []int, ranks []
 		var met partition.Metrics
 		var vnSide partition.Side
 		var ok bool
+		comp.recount(sets)
 		if comp.cons == nil {
-			met, vnSide, ok = comp.evaluate(sets)
+			met, vnSide, ok = comp.evaluate()
 		} else {
-			met, ok = comp.evaluateConstrained(sets)
+			met, ok = comp.evaluateConstrained()
 		}
 		if !ok {
 			infeasible++
@@ -248,7 +247,6 @@ func candidateShard(h *hypergraph.Hypergraph, adj [][]int, order []int, ranks []
 			sb.part = comp.materializeBest(vnSide)
 			sb.rank = rank
 			sb.matching = matcher.MatchingSize()
-			sb.sets = copySets(sets)
 		}
 	}
 	sp.Count("splits", int64(len(ranks)))

@@ -9,11 +9,15 @@ import (
 // canonicalMagic versions the CanonicalBytes encoding; bump it whenever
 // the byte layout changes so stale cache entries can never alias fresh
 // ones.
-const canonicalMagic = "igpart-canon-v1\n"
+const canonicalMagic = "igpart-canon-v2\n"
 
 // CanonicalBytes returns a stable serialization of the netlist's
 // partitioning-relevant structure: module count, module area weights
-// (when present), and the multiset of net pin sets. The encoding is
+// (when any differs from 1), and the multiset of net pin sets. All-unit
+// weights encode exactly like absent weights — every partitioner reads
+// weights through ModuleWeight, which returns 1 for both — so a netlist
+// keeps one content address whether it arrived as .hgr (no weights) or
+// as Bookshelf (a unit area per node). The encoding is
 // invariant to the order nets were added in and to the order pins were
 // listed (pins are stored sorted and deduplicated; nets are emitted
 // sorted lexicographically by their pin slices). Module indices are
@@ -41,7 +45,7 @@ func (h *Hypergraph) CanonicalBytes() []byte {
 	buf = append(buf, canonicalMagic...)
 	buf = binary.AppendUvarint(buf, uint64(len(h.incident)))
 	buf = binary.AppendUvarint(buf, uint64(len(h.pins)))
-	if h.weights == nil {
+	if unitWeights(h.weights) {
 		buf = append(buf, 0)
 	} else {
 		buf = append(buf, 1)
@@ -57,4 +61,15 @@ func (h *Hypergraph) CanonicalBytes() []byte {
 		}
 	}
 	return buf
+}
+
+// unitWeights reports whether every module weight is 1 (or there are
+// none).
+func unitWeights(ws []int) bool {
+	for _, w := range ws {
+		if w != 1 {
+			return false
+		}
+	}
+	return true
 }

@@ -90,3 +90,65 @@ func TestCanonicalBytesIgnoresNames(t *testing.T) {
 		t.Fatal("names changed the canonical bytes; they never affect partitioning")
 	}
 }
+
+// formatRoundTrips writes h in every supported text format and reads it
+// back: .hgr, the named NET format, and a Bookshelf pair (which gives
+// every module an explicit unit area).
+func formatRoundTrips(t *testing.T, h *Hypergraph) map[string]*Hypergraph {
+	t.Helper()
+	out := make(map[string]*Hypergraph, 3)
+	var hb, nb, nodes, nets bytes.Buffer
+	if err := WriteHGR(&hb, h); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteNetlist(&nb, h); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteBookshelf(&nodes, &nets, h); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	if out["hgr"], err = ReadHGR(&hb); err != nil {
+		t.Fatalf("hgr: %v", err)
+	}
+	if out["named"], err = ReadNetlist(&nb); err != nil {
+		t.Fatalf("named: %v", err)
+	}
+	if out["bookshelf"], err = ReadBookshelf(&nodes, &nets); err != nil {
+		t.Fatalf("bookshelf: %v", err)
+	}
+	return out
+}
+
+// TestCanonicalBytesFormatInvariance pins that one netlist has one
+// content address whichever format it arrives in: the .hgr round trip
+// carries no weights, the Bookshelf one an explicit unit area per node,
+// and both must encode identically.
+func TestCanonicalBytesFormatInvariance(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20; trial++ {
+		n := 2 + rng.Intn(30)
+		b := NewBuilder().SetNumModules(n)
+		for e := 0; e < 1+rng.Intn(2*n); e++ {
+			pins := make([]int, 1+rng.Intn(4))
+			for i := range pins {
+				pins[i] = rng.Intn(n)
+			}
+			b.AddNet(pins...)
+		}
+		h := b.Build()
+		want := h.CanonicalBytes()
+		for format, got := range formatRoundTrips(t, h) {
+			if !bytes.Equal(got.CanonicalBytes(), want) {
+				t.Fatalf("trial %d: %s round trip (weighted=%v) changed the canonical bytes", trial, format, got.Weighted())
+			}
+		}
+	}
+	unit := NewBuilder().SetWeight(0, 1).SetWeight(2, 1)
+	unit.AddNet(0, 1, 2)
+	plain := NewBuilder()
+	plain.AddNet(0, 1, 2)
+	if !bytes.Equal(unit.Build().CanonicalBytes(), plain.Build().CanonicalBytes()) {
+		t.Fatal("explicit unit weights encode unlike absent weights")
+	}
+}

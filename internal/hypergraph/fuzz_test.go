@@ -147,3 +147,37 @@ func FuzzReadBookshelf(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCanonicalFormats holds the content-address property on arbitrary
+// netlists: the .hgr, named and Bookshelf round trips of one netlist all
+// have its canonical bytes. Nets are decoded from data as in
+// FuzzBookshelfRoundTrip.
+func FuzzCanonicalFormats(f *testing.F) {
+	f.Add(uint8(3), []byte{2, 0, 1, 3, 0, 1, 2})
+	f.Add(uint8(1), []byte{})
+	f.Add(uint8(9), []byte{5, 6, 6, 1, 2, 3, 0, 2, 4, 5})
+	f.Fuzz(func(t *testing.T, nMod uint8, data []byte) {
+		n := int(nMod)%24 + 1
+		b := NewBuilder().SetNumModules(n)
+		for i := 0; i < len(data); {
+			size := int(data[i])%6 + 1
+			i++
+			pins := make([]int, 0, size)
+			for j := 0; j < size && i < len(data); j++ {
+				pins = append(pins, int(data[i])%n)
+				i++
+			}
+			if len(pins) == 0 {
+				break
+			}
+			b.AddNet(pins...)
+		}
+		h := b.Build()
+		want := h.CanonicalBytes()
+		for format, got := range formatRoundTrips(t, h) {
+			if !bytes.Equal(got.CanonicalBytes(), want) {
+				t.Fatalf("%s round trip changed the canonical bytes", format)
+			}
+		}
+	})
+}
